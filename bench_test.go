@@ -301,7 +301,7 @@ func BenchmarkAblation_LazyGreedy(b *testing.B) {
 	for v := range outDeg {
 		outDeg[v] = int32(g.OutDegree(int32(v)))
 	}
-	idx := coverage.NewIndex(g.N(), outDeg)
+	idx := coverage.NewIndex(g.N(), outDeg, 1)
 	for _, set := range sets {
 		idx.Add(set)
 	}

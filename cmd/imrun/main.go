@@ -14,11 +14,10 @@
 //	-eps     approximation parameter ε
 //	-seed    RNG seed
 //	-workers RR-generation parallelism (0 = GOMAXPROCS)
-//	-estimator coverage backend: exact (CSR inverted index, default),
-//	         hll (HyperLogLog sketches: θ-independent memory, estimates
-//	         within the backend's certified relative error) or sharded
-//	         (shard-parallel exact engine: zero-splice fill, parallel
-//	         CELF rounds, byte-identical results to exact)
+//	-estimator coverage backend: exact (sharded CSR inverted index,
+//	         default) or hll (HyperLogLog sketches: θ-independent
+//	         memory, estimates within the backend's certified relative
+//	         error)
 //	-sketch-p HLL register-index width p, 2^p registers per node
 //	         (0 = default 8, i.e. 256 B/node, ~6.5% relative error)
 //	-bound   sample-complexity analysis capping θ: imm (worst-case
@@ -38,7 +37,6 @@
 //	         /metrics, /healthz, /readyz, /progress, /report, /timeline,
 //	         /trace (Perfetto-loadable trace-event export), /events,
 //	         /debug/bundle, /debug/*
-//	-pprof   deprecated alias for -serve
 //	-flight  always-on flight recorder: black-box event journal,
 //	         runtime-metrics history, and diagnostic bundles on panic,
 //	         SIGQUIT/SIGUSR1, stall, or GET /debug/bundle (default on;
@@ -101,7 +99,7 @@ func main() {
 	eps := flag.Float64("eps", 0.1, "approximation parameter epsilon")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
-	estimator := flag.String("estimator", "exact", "coverage backend: exact, hll or sharded")
+	estimator := flag.String("estimator", "exact", "coverage backend: exact or hll")
 	sketchP := flag.Int("sketch-p", 0, "HLL precision p (2^p registers/node, 0 = default)")
 	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	mc := flag.Int("mc", 10000, "forward simulations for spread estimate (0 = skip)")
@@ -113,7 +111,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit Result + run report as one JSON object on stdout")
 	logFmt := flag.String("log", "", "structured run events on stderr: text or json")
 	serveAddr := flag.String("serve", "", "serve the live telemetry plane on this address")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -serve")
 	flightOn := flag.Bool("flight", true, "enable the flight recorder (journal, history, crash bundles)")
 	flightDir := flag.String("flight-dir", ".", "directory for diagnostic *.bundle directories")
 	stallWindow := flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
@@ -138,10 +135,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "imrun: unknown -alg %q\n", *algName)
 		os.Exit(2)
-	}
-	if *serveAddr == "" && *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "imrun: -pprof is deprecated, use -serve")
-		*serveAddr = *pprofAddr
 	}
 	if *repeat < 1 {
 		*repeat = 1

@@ -1,6 +1,6 @@
 // Command scalematrix sweeps the RR pipeline over a declarative
 // workers × generator × graph × trials matrix and reports, per phase
-// (generate, splice, index-build, select), the speedup and parallel
+// (generate, index-build, select), the speedup and parallel
 // efficiency relative to W=1 plus a least-squares Amdahl serial-fraction
 // fit — turning "does the parallel pipeline actually scale?" into a
 // measured, regression-gated artifact instead of a hope.
@@ -15,15 +15,14 @@
 //	             attachment, er = Erdős–Rényi with m = N·D edges); WC
 //	             weights
 //	-gens        comma-separated generators: subsim, vanilla, bucketed
-//	-estimators  comma-separated coverage estimator backends: exact (CSR
-//	             inverted index), hll (register-array sketch), sharded
-//	             (shard-parallel exact engine: zero-splice fill, every
-//	             CELF round fanned out; byte-identical results to exact)
+//	-estimators  comma-separated coverage estimator backends: exact
+//	             (sharded CSR inverted index, one shard per worker),
+//	             hll (register-array sketch)
 //	-workers     comma-separated worker counts (must include 1, the
 //	             speedup baseline)
 //	-trials      trials per cell; the median of each phase wins
 //	-sets        RR sets generated per trial
-//	-rounds      FillIndex/build/select rounds the sets are split over
+//	-rounds      fill/build/select rounds the sets are split over
 //	             (exercises the delta CSR path like the doubling loops do)
 //	-k           seeds selected per round
 //	-seed        RNG seed (identical across cells; the worker-
@@ -70,7 +69,7 @@ import (
 )
 
 // phaseNames orders the report rows; "total" is the sum of the others.
-var phaseNames = []string{"generate", "splice", "index-build", "select", "total"}
+var phaseNames = []string{"generate", "index-build", "select", "total"}
 
 // graphSpec is one parsed -graphs entry.
 type graphSpec struct {
@@ -140,15 +139,15 @@ func newGenerator(name string, g *graph.Graph) (rrset.Generator, error) {
 }
 
 // cell is one matrix point: the median per-phase wall times of running
-// the full pipeline (generate → splice → delta CSR build → select) at
+// the full pipeline (generate → delta CSR build → select) at
 // one worker count.
 type cell struct {
-	Graph     string         `json:"graph"`
-	Gen       string         `json:"gen"`
-	Estimator string         `json:"estimator"`
-	Workers   int            `json:"workers"`
-	Trials  int              `json:"trials"`
-	PhaseNS map[string]int64 `json:"phase_ns"`
+	Graph     string           `json:"graph"`
+	Gen       string           `json:"gen"`
+	Estimator string           `json:"estimator"`
+	Workers   int              `json:"workers"`
+	Trials    int              `json:"trials"`
+	PhaseNS   map[string]int64 `json:"phase_ns"`
 	// Timeline is the last trial's execution-timeline digest: records
 	// per phase, busy/covered/serial-gap ns, per-worker skew.
 	Timeline *timeline.Summary `json:"timeline,omitempty"`
@@ -167,12 +166,12 @@ type point struct {
 
 // curve is one phase's scaling behaviour across the worker sweep.
 type curve struct {
-	Graph     string `json:"graph"`
-	Gen       string `json:"gen"`
-	Estimator string `json:"estimator"`
-	Phase     string `json:"phase"`
-	T1NS   int64   `json:"t1_ns"`
-	Points []point `json:"points"`
+	Graph     string  `json:"graph"`
+	Gen       string  `json:"gen"`
+	Estimator string  `json:"estimator"`
+	Phase     string  `json:"phase"`
+	T1NS      int64   `json:"t1_ns"`
+	Points    []point `json:"points"`
 	// AmdahlSerialFrac is the least-squares serial fraction s of
 	// T_W = T_1·(s + (1-s)/W) fitted over the W>1 points, clamped to
 	// [0,1]; -1 when the sweep has no W>1 point to fit.
@@ -199,11 +198,11 @@ func main() {
 	var (
 		graphsFlag  = flag.String("graphs", "pa:20000x8", "comma-separated graph specs type:NxD (pa, er)")
 		gensFlag    = flag.String("gens", "subsim", "comma-separated generators: subsim, vanilla, bucketed")
-		estFlag     = flag.String("estimators", "exact", "comma-separated coverage estimator backends: exact, hll, sharded")
+		estFlag     = flag.String("estimators", "exact", "comma-separated coverage estimator backends: exact, hll")
 		workersFlag = flag.String("workers", "1,2,4,8", "comma-separated worker counts (must include 1)")
 		trials      = flag.Int("trials", 3, "trials per cell (median wins)")
 		sets        = flag.Int("sets", 20000, "RR sets generated per trial")
-		rounds      = flag.Int("rounds", 4, "FillIndex/build/select rounds per trial")
+		rounds      = flag.Int("rounds", 4, "fill/build/select rounds per trial")
 		k           = flag.Int("k", 50, "seeds selected per round")
 		seed        = flag.Uint64("seed", 2020, "RNG seed")
 		jsonPath    = flag.String("json", "", "write the matrix result JSON to this file")
@@ -441,15 +440,7 @@ func runCell(g *graph.Graph, spec graphSpec, genName string, estKind coverage.Es
 			selNS += time.Since(t0).Nanoseconds()
 			seeds = res.Seeds
 		}
-		// FillIndex wall time covers generation plus the splice; the
-		// splice histogram carries the splice's own share.
-		spliceNS := m.Splice.Sum()
-		generateNS := genNS - spliceNS
-		if generateNS < 0 {
-			generateNS = 0
-		}
-		samples["generate"] = append(samples["generate"], generateNS)
-		samples["splice"] = append(samples["splice"], spliceNS)
+		samples["generate"] = append(samples["generate"], genNS)
 		samples["index-build"] = append(samples["index-build"], buildNS)
 		samples["select"] = append(samples["select"], selNS)
 		samples["total"] = append(samples["total"], genNS+buildNS+selNS)

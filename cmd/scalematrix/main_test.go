@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -85,12 +86,12 @@ func TestMedianInt64(t *testing.T) {
 func TestBuildCurves(t *testing.T) {
 	cells := []cell{
 		{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 2, PhaseNS: map[string]int64{
-			"generate": 600, "splice": 100, "index-build": 100, "select": 100, "total": 800}},
+			"generate": 600, "index-build": 100, "select": 100, "total": 800}},
 		{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 1, PhaseNS: map[string]int64{
-			"generate": 1000, "splice": 100, "index-build": 100, "select": 100, "total": 1200}},
+			"generate": 1000, "index-build": 100, "select": 100, "total": 1200}},
 		// A foreign-estimator cell must be filtered out of the sweep.
 		{Graph: "pa:100x4", Gen: "subsim", Estimator: "hll", Workers: 1, PhaseNS: map[string]int64{
-			"generate": 1, "splice": 1, "index-build": 1, "select": 1, "total": 4}},
+			"generate": 1, "index-build": 1, "select": 1, "total": 4}},
 	}
 	curves := buildCurves("pa:100x4", "subsim", "exact", cellsFor(cells, "pa:100x4", "subsim", "exact"))
 	if len(curves) != len(phaseNames) {
@@ -143,9 +144,9 @@ func TestRecordBench(t *testing.T) {
 		GoVersion: "go1.24.0",
 		Curves: buildCurves("pa:100x4", "subsim", "exact", []cell{
 			{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 1, PhaseNS: map[string]int64{
-				"generate": 1000, "splice": 10, "index-build": 10, "select": 10, "total": 1030}},
+				"generate": 1000, "index-build": 10, "select": 10, "total": 1030}},
 			{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 2, PhaseNS: map[string]int64{
-				"generate": 600, "splice": 10, "index-build": 10, "select": 10, "total": 630}},
+				"generate": 600, "index-build": 10, "select": 10, "total": 630}},
 		}),
 	}
 	if err := recordBench(path, "scale-matrix", "single-core host", doc); err != nil {
@@ -166,9 +167,9 @@ func TestRecordBench(t *testing.T) {
 	if run.Caveat != "single-core host" {
 		t.Errorf("caveat = %q", run.Caveat)
 	}
-	// 5 phases × 2 workers + 5 Amdahl rows.
-	if len(run.Benchmarks) != 15 {
-		t.Errorf("got %d benchmark rows, want 15", len(run.Benchmarks))
+	// 4 phases × 2 workers + 4 Amdahl rows.
+	if len(run.Benchmarks) != 12 {
+		t.Errorf("got %d benchmark rows, want 12", len(run.Benchmarks))
 	}
 	w2 := run.Benchmarks["BenchmarkScaleMatrix_pa100x4_subsim_generate_W2"]
 	if w2.NsOp != 600 || w2.Extra["speedup"] == 0 || w2.Extra["efficiency"] == 0 {
@@ -198,14 +199,18 @@ func TestRecordBench(t *testing.T) {
 // TestRunTinyMatrix drives the full pipeline end to end on a tiny matrix
 // and checks the artifacts: schema-stamped JSON with timeline digests,
 // valid curves, the worker-independence assertion passing, a Perfetto
-// trace for the last cell, and zero splice time on sharded rows (the
-// splice phase does not exist on the zero-copy path).
+// trace for the last cell, and the removed "sharded" backend rejected.
 func TestRunTinyMatrix(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "matrix.json")
 	reportPath := filepath.Join(dir, "report.json")
 	tracePath := filepath.Join(dir, "trace.json")
-	err := run("pa:500x4", "subsim", "exact,hll,sharded", "1,2", 1, 600, 2, 5, 7,
+	err := run("pa:500x4", "subsim", "exact,sharded", "1,2", 1, 600, 2, 5, 7,
+		"", "", "", "", "", "", 0)
+	if err == nil || !strings.Contains(err.Error(), "exact|hll") {
+		t.Fatalf("-estimators exact,sharded: err = %v, want an unknown-estimator error naming exact|hll", err)
+	}
+	err = run("pa:500x4", "subsim", "exact,hll", "1,2", 1, 600, 2, 5, 7,
 		jsonPath, filepath.Join(dir, "bench.json"), "tiny", reportPath, tracePath, "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +226,8 @@ func TestRunTinyMatrix(t *testing.T) {
 	if doc.Schema != "subsim.scalematrix" || doc.SchemaVersion != 1 {
 		t.Fatalf("schema = %q v%d", doc.Schema, doc.SchemaVersion)
 	}
-	// 3 estimators × 2 worker counts.
-	if len(doc.Cells) != 6 {
+	// 2 estimators × 2 worker counts.
+	if len(doc.Cells) != 4 {
 		t.Fatalf("got %d cells", len(doc.Cells))
 	}
 	perEst := map[string]int{}
@@ -234,15 +239,11 @@ func TestRunTinyMatrix(t *testing.T) {
 		if c.PhaseNS["total"] <= 0 {
 			t.Errorf("cell %s W=%d: no total time", c.Estimator, c.Workers)
 		}
-		if c.Estimator == "sharded" && c.PhaseNS["splice"] != 0 {
-			t.Errorf("sharded cell W=%d: splice phase = %dns, want 0 (zero-copy fill)",
-				c.Workers, c.PhaseNS["splice"])
-		}
 	}
-	if perEst["exact"] != 2 || perEst["hll"] != 2 || perEst["sharded"] != 2 {
+	if perEst["exact"] != 2 || perEst["hll"] != 2 {
 		t.Fatalf("cells per estimator = %v", perEst)
 	}
-	if len(doc.Curves) != 3*len(phaseNames) {
+	if len(doc.Curves) != 2*len(phaseNames) {
 		t.Fatalf("got %d curves", len(doc.Curves))
 	}
 	if _, err := os.Stat(reportPath); err != nil {

@@ -12,7 +12,6 @@ import (
 var (
 	_ Estimator = (*Index)(nil)
 	_ Estimator = (*HLL)(nil)
-	_ Estimator = (*Sharded)(nil)
 )
 
 // estimatorCase is one backend under conformance test. tol(want)
@@ -35,14 +34,14 @@ func sketchTol(e Estimator, want int64) int64 {
 	return int64(math.Ceil(6*e.RelError()*float64(want))) + 4
 }
 
-// conformanceCases enumerates the three coverage backends. Sharded runs
-// with a shard count different from every tested worker count, so any
-// accidental shard/worker coupling would show up.
+// conformanceCases enumerates the two coverage backends, the exact one
+// at one shard and at three. Three shards differs from every tested
+// worker count, so any accidental shard/worker coupling would show up.
 func conformanceCases() []estimatorCase {
 	return []estimatorCase{
 		{
 			name: "exact",
-			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg) },
+			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg, 1) },
 			kind: EstimatorExact,
 			tol:  exactTol,
 		},
@@ -54,8 +53,8 @@ func conformanceCases() []estimatorCase {
 		},
 		{
 			name: "sharded",
-			make: func(n int, outDeg []int32) Estimator { return NewSharded(n, outDeg, 3) },
-			kind: EstimatorSharded,
+			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg, 3) },
+			kind: EstimatorExact,
 			tol:  exactTol,
 		},
 	}
@@ -83,7 +82,7 @@ func TestEstimatorConformance(t *testing.T) {
 			if e.N() != n {
 				t.Fatalf("N() = %d, want %d", e.N(), n)
 			}
-			if e.Kind() != tc.kind || e.Kind().String() != tc.name {
+			if k, err := ParseEstimator(e.Kind().String()); e.Kind() != tc.kind || err != nil || k != tc.kind {
 				t.Fatalf("Kind() = %v (%q), want %v", e.Kind(), e.Kind().String(), tc.kind)
 			}
 			if re := e.RelError(); re < 0 || (tc.tol(e, 1000) == 0) != (re == 0) {
@@ -156,7 +155,7 @@ func TestEstimatorConformance(t *testing.T) {
 // query answer or pick, including with the parallel paths forced onto
 // the small test input.
 func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
-	forceParallelSharded(t)
+	forceParallelAll(t)
 	const n = 90
 	r := rng.New(23)
 	sets := randomSets(r, n, 500, 6)

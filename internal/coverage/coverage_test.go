@@ -8,13 +8,25 @@ import (
 	"subsim/internal/rrset"
 )
 
+// indexFromSets builds a one-shard index from explicit sets.
 func indexFromSets(n int, outDeg []int32, sets [][]int32) *Index {
-	x := NewIndex(n, outDeg)
+	return shardIndexFromSets(n, 1, outDeg, sets)
+}
+
+// shardIndexFromSets builds an index with the given shard count through
+// the per-set Add path, which routes by collection index.
+func shardIndexFromSets(n, shards int, outDeg []int32, sets [][]int32) *Index {
+	x := NewIndex(n, outDeg, shards)
 	for _, s := range sets {
 		x.Add(rrset.RRSet(s))
 	}
 	return x
 }
+
+// refShards are the shard counts the brute-force and eager-greedy
+// reference tests run at: the degenerate single shard and a count that
+// divides none of the small test collections evenly.
+var refShards = []int{1, 3}
 
 // bruteCoverage counts sets intersecting seeds.
 func bruteCoverage(sets [][]int32, seeds []int32) int64 {
@@ -55,34 +67,38 @@ func bruteBestK(n int, sets [][]int32, k int) int64 {
 
 func TestCoverageOfMatchesBruteForce(t *testing.T) {
 	sets := [][]int32{{0, 1}, {1, 2}, {3}, {0, 3}, {4}}
-	x := indexFromSets(5, nil, sets)
-	cases := [][]int32{{}, {0}, {1}, {0, 1}, {3, 4}, {0, 1, 2, 3, 4}}
-	for _, seeds := range cases {
-		if got, want := x.CoverageOf(seeds), bruteCoverage(sets, seeds); got != want {
-			t.Errorf("CoverageOf(%v) = %d, want %d", seeds, got, want)
+	for _, shards := range refShards {
+		x := shardIndexFromSets(5, shards, nil, sets)
+		cases := [][]int32{{}, {0}, {1}, {0, 1}, {3, 4}, {0, 1, 2, 3, 4}}
+		for _, seeds := range cases {
+			if got, want := x.CoverageOf(seeds), bruteCoverage(sets, seeds); got != want {
+				t.Errorf("S=%d: CoverageOf(%v) = %d, want %d", shards, seeds, got, want)
+			}
 		}
-	}
-	if x.NumSets() != 5 || x.N() != 5 {
-		t.Fatal("counts wrong")
-	}
-	if x.Degree(1) != 2 {
-		t.Fatalf("Degree(1) = %d", x.Degree(1))
+		if x.NumSets() != 5 || x.N() != 5 {
+			t.Fatalf("S=%d: counts wrong", shards)
+		}
+		if x.Degree(1) != 2 {
+			t.Fatalf("S=%d: Degree(1) = %d", shards, x.Degree(1))
+		}
 	}
 }
 
 func TestGreedySingleSeedIsOptimal(t *testing.T) {
 	sets := [][]int32{{0, 1}, {1, 2}, {1}, {3}, {3}, {3}}
-	x := indexFromSets(4, nil, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 1})
-	if len(res.Seeds) != 1 {
-		t.Fatal("wrong seed count")
-	}
-	// Node 1 and node 3 both cover 3 sets; tie-break by id picks 1.
-	if res.Seeds[0] != 1 {
-		t.Fatalf("picked %d", res.Seeds[0])
-	}
-	if res.Coverage[0] != 3 {
-		t.Fatalf("coverage %d", res.Coverage[0])
+	for _, shards := range refShards {
+		x := shardIndexFromSets(4, shards, nil, sets)
+		res := x.SelectSeeds(GreedyOptions{K: 1})
+		if len(res.Seeds) != 1 {
+			t.Fatalf("S=%d: wrong seed count", shards)
+		}
+		// Node 1 and node 3 both cover 3 sets; tie-break by id picks 1.
+		if res.Seeds[0] != 1 {
+			t.Fatalf("S=%d: picked %d", shards, res.Seeds[0])
+		}
+		if res.Coverage[0] != 3 {
+			t.Fatalf("S=%d: coverage %d", shards, res.Coverage[0])
+		}
 	}
 }
 
@@ -123,14 +139,16 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 			}
 		}
 		k := 1 + r.Intn(3)
-		x := indexFromSets(n, nil, sets)
-		res := x.SelectSeeds(GreedyOptions{K: k})
 		opt := bruteBestK(n, sets, k)
-		if float64(res.TotalCoverage(0)) < (1-1.0/2.718281829)*float64(opt)-1e-9 {
-			t.Fatalf("trial %d: greedy %d below (1-1/e)·opt (%d)", trial, res.TotalCoverage(0), opt)
-		}
-		if res.CoverageUpper < opt {
-			t.Fatalf("trial %d: upper bound %d below optimum %d", trial, res.CoverageUpper, opt)
+		for _, shards := range refShards {
+			x := shardIndexFromSets(n, shards, nil, sets)
+			res := x.SelectSeeds(GreedyOptions{K: k})
+			if float64(res.TotalCoverage(0)) < (1-1.0/2.718281829)*float64(opt)-1e-9 {
+				t.Fatalf("trial %d S=%d: greedy %d below (1-1/e)·opt (%d)", trial, shards, res.TotalCoverage(0), opt)
+			}
+			if res.CoverageUpper < opt {
+				t.Fatalf("trial %d S=%d: upper bound %d below optimum %d", trial, shards, res.CoverageUpper, opt)
+			}
 		}
 	}
 }
@@ -212,15 +230,17 @@ func TestLazyGreedyMatchesEagerGreedy(t *testing.T) {
 			if revised {
 				od = outDeg
 			}
-			x := indexFromSets(n, od, sets)
-			lazy := x.SelectSeeds(GreedyOptions{K: k, Revised: revised}).Seeds
 			eager := naiveGreedy(n, sets, k, od)
-			if len(lazy) != len(eager) {
-				return false
-			}
-			for i := range lazy {
-				if lazy[i] != eager[i] {
+			for _, shards := range refShards {
+				x := shardIndexFromSets(n, shards, od, sets)
+				lazy := x.SelectSeeds(GreedyOptions{K: k, Revised: revised}).Seeds
+				if len(lazy) != len(eager) {
 					return false
+				}
+				for i := range lazy {
+					if lazy[i] != eager[i] {
+						return false
+					}
 				}
 			}
 		}
@@ -310,9 +330,14 @@ func TestUpperBoundDominatesAnyKSet(t *testing.T) {
 			}
 		}
 		k := 1 + r.Intn(3)
-		x := indexFromSets(n, nil, sets)
-		res := x.SelectSeeds(GreedyOptions{K: k})
-		return res.CoverageUpper >= bruteBestK(n, sets, k)
+		opt := bruteBestK(n, sets, k)
+		for _, shards := range refShards {
+			x := shardIndexFromSets(n, shards, nil, sets)
+			if x.SelectSeeds(GreedyOptions{K: k}).CoverageUpper < opt {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

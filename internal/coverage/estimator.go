@@ -18,20 +18,14 @@ import (
 type EstimatorKind int
 
 const (
-	// EstimatorExact is the CSR inverted index: exact coverage counts,
-	// memory proportional to the total posting mass (θ · avg RR size).
+	// EstimatorExact is the sharded CSR inverted index (*Index): exact
+	// coverage counts, memory proportional to the total posting mass
+	// (θ · avg RR size).
 	EstimatorExact EstimatorKind = iota
 	// EstimatorHLL is the register-array HyperLogLog sketch backend:
 	// coverage counts within a certified relative error, memory fixed at
 	// 2^precision bytes per node regardless of θ.
 	EstimatorHLL
-	// EstimatorSharded is the shard-parallel exact backend: per-worker
-	// arenas double as shard-local store segments (no splice memcpy),
-	// each shard keeps its own CSR inverted index, and every query —
-	// including every CELF round beyond the first — is answered as a
-	// tree-reduced sum of per-shard partials. Results are byte-identical
-	// to EstimatorExact for any worker count.
-	EstimatorSharded
 )
 
 // String returns the flag-level name of the backend.
@@ -39,25 +33,20 @@ func (k EstimatorKind) String() string {
 	switch k {
 	case EstimatorHLL:
 		return "hll"
-	case EstimatorSharded:
-		return "sharded"
 	default:
 		return "exact"
 	}
 }
 
-// ParseEstimator maps a flag value ("exact" | "hll" | "sharded") to its
-// kind.
+// ParseEstimator maps a flag value ("exact" | "hll") to its kind.
 func ParseEstimator(s string) (EstimatorKind, error) {
 	switch s {
 	case "exact", "":
 		return EstimatorExact, nil
 	case "hll", "sketch":
 		return EstimatorHLL, nil
-	case "sharded":
-		return EstimatorSharded, nil
 	default:
-		return EstimatorExact, fmt.Errorf("coverage: unknown estimator %q (want exact, hll or sharded)", s)
+		return EstimatorExact, fmt.Errorf("coverage: unknown estimator %q (want exact|hll)", s)
 	}
 }
 
@@ -106,23 +95,3 @@ func (x *Index) Kind() EstimatorKind { return EstimatorExact }
 
 // RelError is 0: the CSR index counts coverage exactly.
 func (x *Index) RelError() float64 { return 0 }
-
-// AbsorbArena appends every kept set of the flat arena buffer to the
-// store, skipping sentinel-terminated sets, and returns the number
-// skipped. Batcher.FillIndex bypasses this method with its disjoint
-// destination-range splice; this per-set path serves the generic
-// Estimator ingestion contract.
-func (x *Index) AbsorbArena(data []int32, ends []int64, sentinel []bool) int64 {
-	var hits int64
-	start := int64(0)
-	for _, end := range ends {
-		if sentinel != nil && end > start && sentinel[data[end-1]] {
-			hits++
-			start = end
-			continue
-		}
-		x.store.Append(data[start:end])
-		start = end
-	}
-	return hits
-}

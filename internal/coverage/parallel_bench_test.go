@@ -6,8 +6,8 @@ import (
 	"subsim/internal/rng"
 )
 
-// benchSets draws a workload shaped like the 2000-set FillIndex batch of
-// the im benchmarks: 2000 sets over 5000 nodes, sizes in [1, 30].
+// benchSets draws a workload shaped like the 2000-set Fill batch of the
+// im benchmarks: 2000 sets over 5000 nodes, sizes in [1, 30].
 func benchSets(count int) ([][]int32, int) {
 	const n = 5000
 	r := rng.New(17)
@@ -15,15 +15,16 @@ func benchSets(count int) ([][]int32, int) {
 }
 
 // benchIndexBuild isolates the delta CSR inverted-index rebuild: the
-// flat store is filled once, then each iteration resets the index state
-// (heads zeroed, delta cursor rewound) and rebuilds the full CSR through
-// ensureIndexed, reusing the steady-state double buffers. The W variants
-// share identical output — the worker count only partitions the
-// counting/placement passes — so their ratio is the build speedup.
+// shard arenas are filled once, then each iteration resets every shard's
+// index state (heads zeroed, delta cursor rewound) and rebuilds the full
+// CSRs through ensureIndexed, reusing the steady-state double buffers.
+// The index has one shard per worker, as im.NewEstimator builds it; the
+// W variants give identical query answers, so their ratio is the build
+// speedup.
 func benchIndexBuild(b *testing.B, workers int) {
 	b.Helper()
 	sets, n := benchSets(2000)
-	x := NewIndex(n, nil)
+	x := NewIndex(n, nil, workers)
 	x.SetWorkers(workers)
 	for _, s := range sets {
 		x.Add(s)
@@ -33,9 +34,12 @@ func benchIndexBuild(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		x.indexed = 0
-		for j := range x.heads {
-			x.heads[j] = 0
+		for s := range x.shards {
+			sh := &x.shards[s]
+			sh.indexed = 0
+			for j := range sh.heads {
+				sh.heads[j] = 0
+			}
 		}
 		b.StartTimer()
 		x.ensureIndexed()
@@ -53,7 +57,7 @@ func BenchmarkIndexBuild_W8(b *testing.B) { benchIndexBuild(b, 8) }
 func benchSelectGains(b *testing.B, workers int) {
 	b.Helper()
 	sets, n := benchSets(20000)
-	x := NewIndex(n, nil)
+	x := NewIndex(n, nil, workers)
 	x.SetWorkers(workers)
 	for _, s := range sets {
 		x.Add(s)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"subsim/internal/rng"
-	"subsim/internal/rrset"
 )
 
 // forceParallel drops the size thresholds so the parallel build and
@@ -44,41 +43,47 @@ func randomSets(r *rng.Source, n, count, maxLen int) [][]int32 {
 	return out
 }
 
-// TestParallelBuildMatchesSerial drives two indexes through the same
-// batched append/query schedule — one serial, one with the parallel
-// build forced on — and demands byte-identical CSR state after every
-// delta rebuild, for several worker counts.
+// TestParallelBuildMatchesSerial drives two indexes with the same
+// shard count through the same batched append/query schedule — one with
+// a single lane, one with the parallel shard rebuild forced on — and
+// demands byte-identical per-shard CSR state after every delta rebuild,
+// for several shard and worker counts.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	forceParallel(t)
 	const n = 97
-	for _, workers := range []int{2, 3, 8} {
-		r := rng.New(42)
-		serial := NewIndex(n, nil)
-		par := NewIndex(n, nil)
-		par.SetWorkers(workers)
-		if par.Workers() != workers {
-			t.Fatalf("Workers() = %d", par.Workers())
-		}
-		// Batches of varying size, including empty deltas and a batch
-		// bigger than the node count.
-		for _, batch := range []int{1, 7, 0, 64, 3, 200, 1} {
-			for _, set := range randomSets(r, n, batch, 9) {
-				serial.Add(set)
-				par.Add(set)
+	for _, shards := range []int{2, 3, 8} {
+		for _, workers := range []int{2, 3, 8} {
+			r := rng.New(42)
+			serial := NewIndex(n, nil, shards)
+			par := NewIndex(n, nil, shards)
+			par.SetWorkers(workers)
+			if par.Workers() != workers {
+				t.Fatalf("Workers() = %d", par.Workers())
 			}
-			serial.ensureIndexed()
-			par.ensureIndexed()
-			if len(serial.heads) != len(par.heads) {
-				t.Fatalf("workers=%d: heads length %d vs %d", workers, len(serial.heads), len(par.heads))
-			}
-			for v := range serial.heads {
-				if serial.heads[v] != par.heads[v] {
-					t.Fatalf("workers=%d: heads[%d] = %d vs %d", workers, v, par.heads[v], serial.heads[v])
+			// Batches of varying size, including empty deltas and a batch
+			// bigger than the node count.
+			for _, batch := range []int{1, 7, 0, 64, 3, 200, 1} {
+				for _, set := range randomSets(r, n, batch, 9) {
+					serial.Add(set)
+					par.Add(set)
 				}
-			}
-			for i := range serial.postings {
-				if serial.postings[i] != par.postings[i] {
-					t.Fatalf("workers=%d: postings[%d] = %d vs %d", workers, i, par.postings[i], serial.postings[i])
+				serial.ensureIndexed()
+				par.ensureIndexed()
+				for s := range serial.shards {
+					a, b := &serial.shards[s], &par.shards[s]
+					if a.indexed != b.indexed {
+						t.Fatalf("S=%d W=%d shard %d: indexed %d vs %d", shards, workers, s, b.indexed, a.indexed)
+					}
+					for v := range a.heads {
+						if a.heads[v] != b.heads[v] {
+							t.Fatalf("S=%d W=%d shard %d: heads[%d] = %d vs %d", shards, workers, s, v, b.heads[v], a.heads[v])
+						}
+					}
+					for i := range a.postings {
+						if a.postings[i] != b.postings[i] {
+							t.Fatalf("S=%d W=%d shard %d: postings[%d] = %d vs %d", shards, workers, s, i, b.postings[i], a.postings[i])
+						}
+					}
 				}
 			}
 		}
@@ -86,8 +91,9 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // TestParallelGainsMatchSerial compares full SelectSeeds outcomes —
-// seeds, coverages, upper bound — between a serial index and one with
-// the parallel initial-gain pass forced, with and without exclusions.
+// seeds, coverages, upper bound — between a serial one-shard index and
+// a multi-shard one with the parallel initial-gain pass forced, with and
+// without exclusions.
 func TestParallelGainsMatchSerial(t *testing.T) {
 	forceParallel(t)
 	const n = 61
@@ -103,7 +109,7 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		serial := indexFromSets(n, outDeg, sets)
-		par := indexFromSets(n, outDeg, sets)
+		par := shardIndexFromSets(n, workers, outDeg, sets)
 		par.SetWorkers(workers)
 		for _, opt := range []GreedyOptions{
 			{K: 1},
@@ -130,15 +136,15 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelBuildIncrementalDeltas forces the parallel path on a
-// growing index where most rebuilds are small deltas over a large
+// TestParallelBuildIncrementalDeltas forces the parallel shard rebuild
+// on a growing index where most rebuilds are small deltas over a large
 // existing CSR — the regime where the block-copy of old postings
 // dominates — and cross-checks degrees against recounting from scratch.
 func TestParallelBuildIncrementalDeltas(t *testing.T) {
 	forceParallel(t)
 	const n = 40
 	r := rng.New(99)
-	par := NewIndex(n, nil)
+	par := NewIndex(n, nil, 4)
 	par.SetWorkers(4)
 	var all [][]int32
 	for round := 0; round < 30; round++ {
@@ -176,12 +182,13 @@ func TestRunWraparound(t *testing.T) {
 
 	// Park the counter one run before overflow. The covered stamps still
 	// hold the (now enormous) run id from the call above.
-	x.run = math.MaxUint32
-	x.newRun()
-	if x.run != 1 {
-		t.Fatalf("run after wraparound = %d, want 1", x.run)
+	sh := &x.shards[0]
+	sh.run = math.MaxUint32
+	sh.newRun()
+	if sh.run != 1 {
+		t.Fatalf("run after wraparound = %d, want 1", sh.run)
 	}
-	for i, c := range x.covered {
+	for i, c := range sh.covered {
 		if c != 0 {
 			t.Fatalf("covered[%d] = %d after wraparound, want 0", i, c)
 		}
@@ -204,7 +211,7 @@ func TestRunWraparound(t *testing.T) {
 
 	// Cross the boundary again mid-sequence: interleave queries around
 	// the exact overflow point and compare against brute force.
-	x.run = math.MaxUint32 - 2
+	sh.run = math.MaxUint32 - 2
 	for i := 0; i < 6; i++ {
 		if got := x.CoverageOf(seeds); got != want {
 			t.Fatalf("wrap sequence step %d: CoverageOf = %d, want %d", i, got, want)
@@ -236,7 +243,7 @@ func TestSelectSeedsScratchReuse(t *testing.T) {
 func TestRebuildScratchReuse(t *testing.T) {
 	const n = 100
 	r := rng.New(5)
-	x := NewIndex(n, nil)
+	x := NewIndex(n, nil, 1)
 	// Warm to steady state: several rebuilds so heads/postings/covered
 	// and their scratch twins all reach final capacity.
 	warm := randomSets(r, n, 4000, 6)
@@ -256,39 +263,5 @@ func TestRebuildScratchReuse(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Fatalf("steady-state delta rebuild allocates %.1f objects/run", allocs)
-	}
-}
-
-// TestStoreGrowFill exercises the range-reservation splice API directly:
-// two disjoint Grow ranges filled out of order must read back exactly
-// like sequential Appends.
-func TestStoreGrowFill(t *testing.T) {
-	var s rrset.Store
-	s.Append([]int32{7, 8})
-
-	data, ends, base := s.Grow(2, 3)
-	if base != 2 {
-		t.Fatalf("nodeBase = %d, want 2", base)
-	}
-	// Fill the second set first: order of filling must not matter.
-	copy(data[1:], []int32{5, 6})
-	ends[1] = base + 3
-	data[0] = 4
-	ends[0] = base + 1
-
-	if s.NumSets() != 3 || s.NumNodes() != 5 {
-		t.Fatalf("store shape %d sets / %d nodes", s.NumSets(), s.NumNodes())
-	}
-	wantSets := [][]int32{{7, 8}, {4}, {5, 6}}
-	for i, want := range wantSets {
-		got := s.Set(i)
-		if len(got) != len(want) {
-			t.Fatalf("set %d = %v, want %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("set %d = %v, want %v", i, got, want)
-			}
-		}
 	}
 }

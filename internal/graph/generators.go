@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"subsim/internal/rng"
 )
@@ -77,20 +78,20 @@ func GenPreferentialAttachment(n, deg int, undirected bool, r *rng.Source) (*Gra
 			targets = append(targets, u, v)
 		}
 	}
-	picked := make(map[int32]struct{}, deg)
+	// picked keeps a node's distinct targets in draw order, so the
+	// reverse-edge coin flips and the attachment list below follow the
+	// seed alone. deg is small, so the duplicate check is a linear scan.
+	picked := make([]int32, 0, deg)
 	for u := int32(deg) + 1; u < int32(n); u++ {
-		clear(picked)
+		picked = picked[:0]
 		for len(picked) < deg {
 			t := targets[r.Intn(len(targets))]
-			if t == u {
+			if t == u || slices.Contains(picked, t) {
 				continue
 			}
-			if _, dup := picked[t]; dup {
-				continue
-			}
-			picked[t] = struct{}{}
+			picked = append(picked, t)
 		}
-		for t := range picked {
+		for _, t := range picked {
 			if undirected {
 				if err := b.AddUndirected(u, t, 0); err != nil {
 					return nil, err

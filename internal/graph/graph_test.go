@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -416,6 +417,27 @@ func TestGenPreferentialAttachmentDirected(t *testing.T) {
 	}
 	if !asym {
 		t.Fatal("directed PA produced a symmetric graph")
+	}
+}
+
+// TestGenPreferentialAttachmentDeterministic builds one seed twice, in
+// both modes, and demands identical CSR arrays: the generator's output
+// must depend on the seed alone, not on map iteration order.
+func TestGenPreferentialAttachmentDeterministic(t *testing.T) {
+	for _, undirected := range []bool{false, true} {
+		a, err := GenPreferentialAttachment(2000, 10, undirected, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := GenPreferentialAttachment(2000, 10, undirected, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.n != b.n || a.m != b.m ||
+			!slices.Equal(a.inOff, b.inOff) || !slices.Equal(a.inAdj, b.inAdj) ||
+			!slices.Equal(a.outOff, b.outOff) || !slices.Equal(a.outAdj, b.outAdj) {
+			t.Fatalf("undirected=%v: two builds of seed 7 differ (m=%d vs %d)", undirected, a.m, b.m)
+		}
 	}
 }
 

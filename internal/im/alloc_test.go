@@ -59,25 +59,24 @@ func TestVisitSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestFillIndexAmortizedAllocs bounds the amortised allocation cost of
-// the full generate→store→index pipeline: appending 200 sets into a
-// growing index plus one delta rebuild must average well under one
-// allocation per RR set. (The only allocations left are the geometric
-// store growth and the per-rebuild heads array, both amortised across
-// hundreds of sets.)
+// the full generate→index pipeline: filling 200 sets into a growing
+// index plus one delta rebuild must average well under one allocation
+// per RR set. (The only allocations left are the geometric shard-arena
+// and CSR growth, amortised across hundreds of sets.)
 func TestFillIndexAmortizedAllocs(t *testing.T) {
 	g := allocGraph(t)
 	b := NewBatcher(rrset.NewSubsim(g), 42, 1)
-	idx := coverage.NewIndex(g.N(), nil)
-	// Warm up both the batcher arena and the index store.
-	b.FillIndex(idx, 600, nil)
+	idx := coverage.NewIndex(g.N(), nil, 1)
+	// Warm up the generator scratch and the shard arena.
+	b.Fill(idx, 600, nil)
 	idx.Degree(0)
 	allocs := testing.AllocsPerRun(20, func() {
-		b.FillIndex(idx, 200, nil)
+		b.Fill(idx, 200, nil)
 		idx.Degree(0) // force the delta CSR rebuild
 	})
 	const maxAllocs = 25 // 200 sets/run → ≤0.125 allocs/set
 	if allocs > maxAllocs {
-		t.Errorf("FillIndex(200)+rebuild allocated %.1f objects/run, want <= %d", allocs, maxAllocs)
+		t.Errorf("Fill(200)+rebuild allocated %.1f objects/run, want <= %d", allocs, maxAllocs)
 	}
 }
 
@@ -106,11 +105,11 @@ func TestGenerateIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestConcurrentArenaSplicing exercises the parallel fill path (one
-// arena per worker, spliced in global-index order) with enough sets to
+// TestConcurrentArenaSplicing exercises the parallel Visit path (one
+// arena per worker, visited in global-index order) with enough sets to
 // guarantee the multi-worker branch, repeatedly, so `go test -race`
-// covers the worker-arena handoff. It also re-checks that the splice
-// visits every generated set exactly once.
+// covers the worker-arena handoff. It also re-checks that Visit sees
+// every generated set exactly once.
 func TestConcurrentArenaSplicing(t *testing.T) {
 	g := allocGraph(t)
 	b := NewBatcher(rrset.NewSubsim(g), 7, 8)

@@ -72,14 +72,14 @@ func TestPipelineEquivalence(t *testing.T) {
 	for _, c := range equivCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			// Reference: compat path, one worker. Generate returns
-			// caller-owned copies, Add copies into the store — the exact
+			// caller-owned copies, Add copies into the index — the exact
 			// shape of the pre-change pipeline.
 			refGen := c.gen()
 			refB := NewBatcher(refGen, seed, 1)
 			refSets := refB.Generate(count, nil)
 			refStats := refB.Stats()
 			n := refGen.Graph().N()
-			refIdx := coverage.NewIndex(n, nil)
+			refIdx := coverage.NewIndex(n, nil, 1)
 			for _, s := range refSets {
 				refIdx.Add(s)
 			}
@@ -107,11 +107,11 @@ func TestPipelineEquivalence(t *testing.T) {
 					t.Fatalf("workers=%d: stats %+v, want %+v", workers, s, refStats)
 				}
 
-				// Flat path: FillIndex splices arenas straight into the
-				// CSR store. Selection and bounds must match exactly.
+				// Fill path: generation straight into one shard per
+				// worker. Selection and bounds must match exactly.
 				b2 := NewBatcher(c.gen(), seed, workers)
-				idx := coverage.NewIndex(n, nil)
-				if hits := b2.FillIndex(idx, count, nil); hits != 0 {
+				idx := coverage.NewIndex(n, nil, workers)
+				if hits := b2.Fill(idx, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
 				if idx.NumSets() != refIdx.NumSets() {

@@ -10,10 +10,11 @@ import (
 	"subsim/internal/rrset"
 )
 
-// TestFillDispatchesExact pins the estimator seam: Batcher.Fill with an
-// exact *coverage.Index must be byte-identical to the historic FillIndex
-// path — same CSR state, same seeds, same bounds — for every generator
-// kind and worker count.
+// TestFillDispatchesExact pins the estimator seam: Batcher.Fill through
+// the Estimator interface into an exact *coverage.Index with one shard
+// per worker must select the same seeds with the same bounds as the
+// one-worker, one-shard reference, for every generator kind and worker
+// count.
 func TestFillDispatchesExact(t *testing.T) {
 	const (
 		count = 1200
@@ -25,12 +26,12 @@ func TestFillDispatchesExact(t *testing.T) {
 			refGen := c.gen()
 			n := refGen.Graph().N()
 			refB := NewBatcher(refGen, seed, 1)
-			refIdx := coverage.NewIndex(n, nil)
-			refB.FillIndex(refIdx, count, nil)
+			refIdx := coverage.NewIndex(n, nil, 1)
+			refB.Fill(refIdx, count, nil)
 			refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
 			for _, workers := range []int{1, 2, 8} {
 				b := NewBatcher(c.gen(), seed, workers)
-				idx := coverage.NewIndex(n, nil)
+				idx := coverage.NewIndex(n, nil, workers)
 				idx.SetWorkers(workers)
 				var est coverage.Estimator = idx
 				if hits := b.Fill(est, count, nil); hits != 0 {

@@ -16,10 +16,10 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"subsim/internal/coverage"
 	"subsim/internal/obs"
-	"subsim/internal/obs/timeline"
 	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
@@ -43,10 +43,11 @@ type Options struct {
 	// selection. The baselines default to the classic greedy; HIST
 	// always enables it.
 	Revised bool
-	// Estimator selects the coverage backend: the exact CSR inverted
-	// index (the zero value, bit-identical to historic runs) or the
-	// HyperLogLog sketch backend (coverage.EstimatorHLL), which trades
-	// the backend's certified relative error for θ-independent memory.
+	// Estimator selects the coverage backend: the exact sharded CSR
+	// index (the zero value, one shard per worker, bit-identical results
+	// for any worker count) or the HyperLogLog sketch backend
+	// (coverage.EstimatorHLL), which trades the backend's certified
+	// relative error for θ-independent memory.
 	Estimator coverage.EstimatorKind
 	// SketchPrecision is the HLL register-index width p (2^p registers
 	// per node); 0 defaults to coverage.HLLDefaultPrecision. Ignored by
@@ -174,18 +175,17 @@ type Result struct {
 // generator stats, and therefore identical algorithm results. Workers
 // only decide how the per-index streams are partitioned.
 //
-// Each worker generates into its own reusable rrset.Arena (one flat
-// []int32 plus per-set offsets), so the steady-state cost of a set is
-// the traversal itself — no per-set heap allocation. Workers own
+// Fill generates straight into a coverage.Index's shard arenas, so a set
+// is written once, where the index reads it. Visit (and Fill into any
+// other estimator) generates into per-worker scratch arenas that own
 // contiguous global-index ranges in ascending worker order, so visiting
-// the arenas worker by worker replays the sets in global-index order.
+// them worker by worker replays the sets in global-index order. Either
+// way the steady-state cost of a set is the traversal itself — no
+// per-set heap allocation.
 type Batcher struct {
-	gens   []rrset.Generator
-	srcs   []*rng.Source  // one reusable Source per worker, reseeded per set
-	arenas []*rrset.Arena // one reusable arena per worker
-	base   []rrset.Stats  // per-worker counters at construction; Stats() reports deltas
-	seed   uint64
-	next   int64 // global index of the next set to generate
+	workers []batchWorker
+	seed    uint64
+	next    int64 // global index of the next set to generate
 
 	// coldNodes estimates nodes per RR set before any set has been
 	// generated (the cold-start reserve); seeded from the graph's average
@@ -193,32 +193,37 @@ type Batcher struct {
 	// a BFS layer fans out over.
 	coldNodes int
 
-	// spliceHist, when non-nil, receives the duration of each
-	// arena-to-store splice performed by FillIndex (ns).
-	spliceHist *obs.Histogram
-
-	// rings, when non-nil, holds one timeline ring per worker: the splice
-	// passes record their per-worker intervals there (generation-phase
-	// records come from the rrset.InstrumentWorker wrappers). rings[w] is
-	// only ever written by the goroutine currently acting as worker w —
-	// generation and splice never overlap (FillIndex runs them strictly in
-	// sequence), preserving the ring's single-writer discipline.
-	rings []*timeline.Ring
-
-	// secGenerate and secSplice tag the two FillIndex sections with pprof
-	// labels and runtime/trace regions; nil (the disabled instrument) when
-	// the batcher is uninstrumented.
+	// secGenerate tags generation with pprof labels and a runtime/trace
+	// region; nil (the disabled instrument) on an uninstrumented batcher.
 	secGenerate *obs.PhaseSection
-	secSplice   *obs.PhaseSection
+}
 
-	// Splice scratch, one slot per worker: kept set/node counts from the
-	// counting pass and their prefix-summed destination offsets. Kept on
-	// the batcher so steady-state FillIndex allocates nothing.
-	keptSets  []int
-	keptNodes []int
-	setOff    []int
-	nodeOff   []int64
-	hitCnt    []int64
+// cacheLine is the coherence granule the per-worker state is padded to.
+const cacheLine = 64
+
+// workerState is one generation worker's mutable state: its generator
+// clone, the RNG stream it reseeds per set, the scratch arena Visit
+// generates into, the generator counters at construction (Stats reports
+// deltas), the sets and nodes it generated without (sized[0]) and with
+// (sized[1]) a sentinel, and its sentinel-hit count of the current
+// fill.
+type workerState struct {
+	gen   rrset.Generator
+	src   rng.Source
+	arena rrset.Arena
+	base  rrset.Stats
+	sized [2]rrset.Stats
+	hits  int64
+}
+
+// batchWorker pads workerState so that in a []batchWorker the mutable
+// fields of two workers are at least one cache line apart, whatever the
+// alignment of the slice: each worker writes its RNG state on every draw
+// and its arena header on every set, and two workers sharing a line
+// would invalidate each other's caches on every set.
+type batchWorker struct {
+	workerState
+	_ [cacheLine + (cacheLine-unsafe.Sizeof(workerState{})%cacheLine)%cacheLine]byte
 }
 
 // NewBatcher builds a parallel generation front-end over gen. The
@@ -229,16 +234,8 @@ func NewBatcher(gen rrset.Generator, seed uint64, workers int) *Batcher {
 		workers = 1
 	}
 	b := &Batcher{
-		gens:      make([]rrset.Generator, workers),
-		srcs:      make([]*rng.Source, workers),
-		arenas:    make([]*rrset.Arena, workers),
-		base:      make([]rrset.Stats, workers),
-		seed:      seed,
-		keptSets:  make([]int, workers),
-		keptNodes: make([]int, workers),
-		setOff:    make([]int, workers),
-		nodeOff:   make([]int64, workers),
-		hitCnt:    make([]int64, workers),
+		workers: make([]batchWorker, workers),
+		seed:    seed,
 	}
 	if g := gen.Graph(); g != nil {
 		cold := int(g.AvgDegree()) + 1
@@ -252,15 +249,15 @@ func NewBatcher(gen rrset.Generator, seed uint64, workers int) *Batcher {
 	} else {
 		b.coldNodes = 2
 	}
-	for w := 0; w < workers; w++ {
+	for w := range b.workers {
+		bw := &b.workers[w]
 		if w == 0 {
-			b.gens[w] = gen
+			bw.gen = gen
 		} else {
-			b.gens[w] = gen.Clone()
+			bw.gen = gen.Clone()
 		}
-		b.base[w] = b.gens[w].Stats()
-		b.srcs[w] = rng.New(seed)
-		b.arenas[w] = rrset.NewArena(0, 0)
+		bw.base = bw.gen.Stats()
+		bw.src.Seed(seed)
 	}
 	return b
 }
@@ -274,28 +271,12 @@ func NewInstrumentedBatcher(gen rrset.Generator, seed uint64, workers int, m *ob
 	if m == nil {
 		return b
 	}
-	b.spliceHist = &m.Splice
-	b.secGenerate = obs.Section("generate", len(b.gens))
-	b.secSplice = obs.Section("splice", len(b.gens))
-	if m.Timeline != nil {
-		b.rings = make([]*timeline.Ring, len(b.gens))
-		for w := range b.rings {
-			b.rings[w] = m.TimelineRing(w)
-		}
-	}
-	for w := range b.gens {
-		b.gens[w] = rrset.InstrumentWorker(b.gens[w], m, w)
+	b.secGenerate = obs.Section("generate", len(b.workers))
+	for w := range b.workers {
+		bw := &b.workers[w]
+		bw.gen = rrset.InstrumentWorker(bw.gen, m, w)
 	}
 	return b
-}
-
-// ring returns worker w's timeline ring, or nil (the no-op ring) on an
-// uninstrumented batcher.
-func (b *Batcher) ring(w int) *timeline.Ring {
-	if b.rings == nil {
-		return nil
-	}
-	return b.rings[w]
 }
 
 // setSeed derives the RNG seed of the set with global index idx from the
@@ -309,24 +290,27 @@ func setSeed(base uint64, idx int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// fillArenas generates count sets into the per-worker arenas, worker w
-// holding the w-th contiguous block of global indices, and returns the
-// number of arenas used (a prefix of b.arenas). Arenas are reused across
-// calls: steady-state generation performs zero per-set allocations.
+// fillArenas generates count sets into the per-worker scratch arenas,
+// worker w holding the w-th contiguous block of global indices, and
+// returns the number of arenas used (a prefix of the workers). Arenas
+// are reused across calls: steady-state generation performs zero
+// per-set allocations.
 //
 //subsim:parallel
 func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 	first := b.next
 	b.next += int64(count)
-	workers := len(b.gens)
+	workers := len(b.workers)
 	if count < 4*workers || workers == 1 {
-		a := b.arenas[0]
-		a.Reset()
-		b.reserve(a, 0, count)
+		bw := &b.workers[0]
+		bw.arena.Reset()
+		b.reserve(&bw.arena, 0, count, sentinel)
+		before := bw.gen.Stats()
 		for i := 0; i < count; i++ {
-			b.srcs[0].Seed(setSeed(b.seed, first+int64(i)))
-			rrset.GenerateRandomInto(b.gens[0], a, b.srcs[0], sentinel)
+			bw.src.Seed(setSeed(b.seed, first+int64(i)))
+			rrset.GenerateRandomInto(bw.gen, &bw.arena, &bw.src, sentinel)
 		}
+		bw.generated(sentinel, before)
 		return 1
 	}
 	per := count / workers
@@ -341,13 +325,15 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 		wg.Add(1)
 		go func(w, cnt int, start int64) {
 			defer wg.Done()
-			a := b.arenas[w]
-			a.Reset()
-			b.reserve(a, w, cnt)
+			bw := &b.workers[w]
+			bw.arena.Reset()
+			b.reserve(&bw.arena, w, cnt, sentinel)
+			before := bw.gen.Stats()
 			for i := 0; i < cnt; i++ {
-				b.srcs[w].Seed(setSeed(b.seed, start+int64(i)))
-				rrset.GenerateRandomInto(b.gens[w], a, b.srcs[w], sentinel)
+				bw.src.Seed(setSeed(b.seed, start+int64(i)))
+				rrset.GenerateRandomInto(bw.gen, &bw.arena, &bw.src, sentinel)
 			}
+			bw.generated(sentinel, before)
 		}(w, cnt, first+offset)
 		offset += int64(cnt)
 	}
@@ -355,20 +341,47 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 	return workers
 }
 
-// reserve pre-grows worker w's arena from the data: the running average
-// RR-set size observed by that worker's generator (with headroom) tells
-// the arena how many node ids the next cnt sets will need, replacing
-// amortised doubling with a single up-front growth in the common case.
-// Before the first set exists there is no average, so the cold start
-// falls back to the graph's average in-degree (coldNodes) instead of
-// reserving zero nodes and eating log2(batch) reallocations.
-func (b *Batcher) reserve(a *rrset.Arena, w, cnt int) {
-	s := b.gens[w].Stats()
+// reserve pre-grows an arena that worker w is about to generate cnt
+// sets into, from the data: the running average RR-set size of the
+// worker's sets of the same kind (with headroom) tells the arena how
+// many node ids the sets will need, replacing amortised doubling with a
+// single up-front growth in the common case. The two kinds, sets
+// generated with and without a sentinel, are averaged apart because
+// they differ by orders of magnitude in HIST's sentinel phase, which
+// draws both through one batcher: a mixed average would over-reserve
+// the sentinel visits and under-reserve the full fills. Without a
+// history of its own kind, a sentinel-free pass falls back to the
+// generator's lifetime average and a sentinel pass to the cold start:
+// the graph's average in-degree (coldNodes), instead of reserving zero
+// nodes and eating log2(batch) reallocations.
+func (b *Batcher) reserve(a *rrset.Arena, w, cnt int, sentinel []bool) {
+	bw := &b.workers[w]
+	s := bw.sized[sizeKind(sentinel)]
+	if s.Sets == 0 && sentinel == nil {
+		s = bw.gen.Stats()
+	}
 	if s.Sets == 0 {
 		a.Reserve(cnt, cnt*b.coldNodes)
 		return
 	}
 	a.Reserve(cnt, int(s.AvgSize()*float64(cnt)*1.25)+cnt)
+}
+
+// sizeKind indexes workerState.sized: 0 for sets generated without a
+// sentinel, 1 for sentinel-terminated traversals.
+func sizeKind(sentinel []bool) int {
+	if sentinel == nil {
+		return 0
+	}
+	return 1
+}
+
+// generated adds the sets and nodes of a generation pass that started
+// with the generator counters at before to the pass's kind.
+func (bw *workerState) generated(sentinel []bool, before rrset.Stats) {
+	s := bw.gen.Stats()
+	s.Sub(before)
+	bw.sized[sizeKind(sentinel)].Add(s)
 }
 
 // Visit generates count random RR sets (uniform roots), stopping each
@@ -384,7 +397,7 @@ func (b *Batcher) Visit(count int, sentinel []bool, visit func(set []int32) bool
 	}
 	used := b.fillArenas(count, sentinel)
 	for w := 0; w < used; w++ {
-		a := b.arenas[w]
+		a := &b.workers[w].arena
 		for i, n := 0, a.Len(); i < n; i++ {
 			if !visit(a.Set(i)) {
 				return
@@ -395,8 +408,8 @@ func (b *Batcher) Visit(count int, sentinel []bool, visit func(set []int32) bool
 
 // Generate produces count random RR sets in deterministic global-index
 // order, each freshly allocated and owned by the caller. It is the
-// compatibility wrapper over Visit; hot paths (FillIndex, Visit) avoid
-// the per-set copies entirely.
+// compatibility wrapper over Visit; hot paths (Fill, Visit) avoid the
+// per-set copies entirely.
 func (b *Batcher) Generate(count int, sentinel []bool) []rrset.RRSet {
 	if count <= 0 {
 		return nil
@@ -419,158 +432,106 @@ func (b *Batcher) Generate(count int, sentinel []bool) []rrset.RRSet {
 // double-counting worker 0.
 func (b *Batcher) Stats() rrset.Stats {
 	var s rrset.Stats
-	for w, g := range b.gens {
-		s.Add(g.Stats())
-		s.Sub(b.base[w])
+	for w := range b.workers {
+		bw := &b.workers[w]
+		s.Add(bw.gen.Stats())
+		s.Sub(bw.base)
 	}
 	return s
 }
 
 // ResetStats zeroes the counters on all workers and the baseline.
 func (b *Batcher) ResetStats() {
-	for w, g := range b.gens {
-		g.ResetStats()
-		b.base[w] = rrset.Stats{}
+	for w := range b.workers {
+		bw := &b.workers[w]
+		bw.gen.ResetStats()
+		bw.base = rrset.Stats{}
 	}
 }
 
-// FillIndex generates `count` RR sets and adds them to idx. When sentinel
+// Fill generates count RR sets and absorbs them into est. When sentinel
 // is non-nil, sets that terminated on a sentinel (i.e. contain one) are
-// NOT added; instead the number of such hits is returned, matching
+// NOT absorbed; instead the number of such hits is returned, matching
 // Algorithm 8 line 5 where covered-by-S_b sets are excluded from greedy.
 //
-// The sets are spliced from the per-worker arenas straight into the
-// index's flat store: each worker's kept sets/nodes are counted first,
-// prefix sums assign every worker a disjoint destination range in the
-// store's flat buffers (reserved in one Index.Grow call), and the copy
-// pass block-copies each arena into its range. Workers own contiguous
-// global-index blocks in ascending order, so the store content is
-// byte-identical to the serial per-set append regardless of the worker
-// count, and steady-state cost is two memcpys per worker — no per-set
-// allocation, no per-set call.
-//
-//subsim:parallel
-func (b *Batcher) FillIndex(idx *coverage.Index, count int, sentinel []bool) (hits int64) {
-	if count <= 0 {
-		return 0
-	}
-	hGen := b.secGenerate.Enter()
-	used := b.fillArenas(count, sentinel)
-	hGen.Exit()
-	hSpl := b.secSplice.Enter()
-	var start time.Time
-	if b.spliceHist != nil {
-		start = time.Now() //lint:allow timing (splice duration metric)
-	}
-	hits = b.splice(idx, used, sentinel)
-	if b.spliceHist != nil {
-		b.spliceHist.Observe(time.Since(start).Nanoseconds()) //lint:allow timing (splice duration metric)
-	}
-	hSpl.Exit()
-	return hits
-}
-
-// Fill generates count RR sets and absorbs them into est, returning the
-// number of sentinel-terminated sets that were skipped. An exact index
-// takes the FillIndex disjoint-range splice path unchanged (bit-for-bit
-// identical to historic behavior); a sharded estimator whose shard count
-// matches the batcher's worker count takes the zero-splice FillSharded
-// path, generating straight into the shard arenas; any other estimator
-// consumes the per-worker arenas through AbsorbArena in ascending worker
-// order, which replays the sets in global-index order — so every backend
-// sees the same sets with the same ids regardless of the worker count.
+// An exact *coverage.Index is filled in place: the set with global index
+// idx is generated straight into shard coverage.ShardOf(idx, shards),
+// lane l of min(workers, shards) lanes generating every shard s ≡ l
+// (mod lanes) with worker l's generator and RNG stream, and a
+// sentinel-terminated set is truncated in place (Arena.DropLast).
+// Placement is a pure function of (index, shard count) and never
+// depends on scheduling. Any other estimator consumes the per-worker
+// arenas through AbsorbArena in ascending worker order, which replays
+// the sets in global-index order. Every backend therefore sees the same
+// sets regardless of the worker count.
 func (b *Batcher) Fill(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
-	if idx, ok := est.(*coverage.Index); ok {
-		return b.FillIndex(idx, count, sentinel)
-	}
-	if sh, ok := est.(*coverage.Sharded); ok {
-		return b.FillSharded(sh, count, sentinel)
-	}
-	return b.absorbInto(est, count, sentinel)
-}
-
-// absorbInto is the generic estimator fill path: generate into the
-// per-worker arenas, then hand each arena to AbsorbArena in ascending
-// worker order (global-index order).
-func (b *Batcher) absorbInto(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
 	if count <= 0 {
 		return 0
+	}
+	if idx, ok := est.(*coverage.Index); ok {
+		return b.fillShards(idx, count, sentinel)
 	}
 	hGen := b.secGenerate.Enter()
 	used := b.fillArenas(count, sentinel)
 	hGen.Exit()
-	hSpl := b.secSplice.Enter()
-	var start time.Time
-	if b.spliceHist != nil {
-		start = time.Now() //lint:allow timing (absorb duration metric)
-	}
 	for w := 0; w < used; w++ {
-		a := b.arenas[w]
+		a := &b.workers[w].arena
 		hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
 	}
-	if b.spliceHist != nil {
-		b.spliceHist.Observe(time.Since(start).Nanoseconds()) //lint:allow timing (absorb duration metric)
-	}
-	hSpl.Exit()
 	return hits
 }
 
-// FillSharded generates count RR sets directly into sh's shard-local
-// arenas — the zero-splice fill path. Worker lane w owns shard w and
-// generates exactly the global indices idx with coverage.ShardOf(idx,
-// shards) == w, so placement is the documented pure function of (index,
-// shard count) and no arena-to-store copy ever happens: the arena IS
-// the shard's store segment, and sentinel-terminated sets are truncated
-// in place (Arena.DropLast) instead of filtered by a copy pass. There
-// are no splice timeline records on this path — the phase is gone, not
-// merely cheap.
-//
-// A shard count different from the batcher's worker count falls back to
-// the generic absorb path (still correct, routed by collection index).
-// Results are identical either way: every coverage query is a sum over
-// shards, so the partition cannot change it.
+// fillShards is Fill's in-place path into the shard arenas of idx.
 //
 //subsim:parallel
-func (b *Batcher) FillSharded(sh *coverage.Sharded, count int, sentinel []bool) (hits int64) {
-	if count <= 0 {
-		return 0
-	}
-	shards := sh.NumShards()
-	if shards != len(b.gens) {
-		return b.absorbInto(sh, count, sentinel)
-	}
+func (b *Batcher) fillShards(idx *coverage.Index, count int, sentinel []bool) (hits int64) {
 	hGen := b.secGenerate.Enter()
+	idx.BeginFill()
 	first := b.next
 	b.next += int64(count)
-	if count < 4*shards || shards == 1 {
+	shards := idx.NumShards()
+	lanes := len(b.workers)
+	if lanes > shards {
+		lanes = shards
+	}
+	if count < 4*shards || lanes == 1 {
 		// Small batch: worker 0's generator serves every shard in turn;
 		// set content depends only on (seed, index), so the lane choice
 		// is invisible.
-		for s := 0; s < shards; s++ {
-			hits += b.fillShard(sh.ShardArena(s), 0, s, shards, first, count, sentinel)
-		}
+		hits = b.fillLane(idx, 0, 1, first, count, sentinel)
 		hGen.Exit()
 		return hits
 	}
 	var wg sync.WaitGroup
-	wg.Add(shards - 1)
-	for w := 1; w < shards; w++ {
-		go func(w int) {
+	wg.Add(lanes - 1)
+	for l := 1; l < lanes; l++ {
+		go func(l int) {
 			defer wg.Done()
-			b.hitCnt[w] = b.fillShard(sh.ShardArena(w), w, w, shards, first, count, sentinel)
-		}(w)
+			b.workers[l].hits = b.fillLane(idx, l, lanes, first, count, sentinel)
+		}(l)
 	}
-	b.hitCnt[0] = b.fillShard(sh.ShardArena(0), 0, 0, shards, first, count, sentinel)
+	b.workers[0].hits = b.fillLane(idx, 0, lanes, first, count, sentinel)
 	wg.Wait()
-	for w := 0; w < shards; w++ {
-		hits += b.hitCnt[w]
+	for l := 0; l < lanes; l++ {
+		hits += b.workers[l].hits
 	}
 	hGen.Exit()
 	return hits
 }
 
+// fillLane generates, through worker l's generator and RNG stream, the
+// sets of every shard s ≡ l (mod lanes) among the global indices
+// [first, first+count), and returns the sentinel hits it dropped.
+func (b *Batcher) fillLane(idx *coverage.Index, l, lanes int, first int64, count int, sentinel []bool) (hits int64) {
+	shards := idx.NumShards()
+	for s := l; s < shards; s += lanes {
+		hits += b.fillShard(idx.ShardArena(s), l, s, shards, first, count, sentinel)
+	}
+	return hits
+}
+
 // fillShard generates every global index idx in [first, first+count)
-// with ShardOf(idx, shards) == shard into a, through worker lane w's
+// with ShardOf(idx, shards) == shard into a, through worker w's
 // generator and RNG stream, appending onto whatever the arena already
 // holds (it is a persistent store segment, never Reset). Sets that
 // terminated on a sentinel are dropped in place and counted.
@@ -580,16 +541,19 @@ func (b *Batcher) fillShard(a *rrset.Arena, w, shard, shards int, first int64, c
 		return 0
 	}
 	cnt := (int64(count) - r + int64(shards) - 1) / int64(shards)
-	b.reserve(a, w, int(cnt))
+	b.reserve(a, w, int(cnt), sentinel)
+	bw := &b.workers[w]
+	before := bw.gen.Stats()
 	last := first + int64(count)
 	for idx := first + r; idx < last; idx += int64(shards) {
-		b.srcs[w].Seed(setSeed(b.seed, idx))
-		rrset.GenerateRandomInto(b.gens[w], a, b.srcs[w], sentinel)
+		bw.src.Seed(setSeed(b.seed, idx))
+		rrset.GenerateRandomInto(bw.gen, a, &bw.src, sentinel)
 		if sentinel != nil && arenaLastHit(a, sentinel) {
 			a.DropLast()
 			hits++
 		}
 	}
+	bw.generated(sentinel, before)
 	return hits
 }
 
@@ -602,150 +566,20 @@ func arenaLastHit(a *rrset.Arena, sentinel []bool) bool {
 }
 
 // NewEstimator constructs the coverage backend opt selects, wired to the
-// metric set (which may be nil): the exact CSR index for
-// coverage.EstimatorExact — built exactly as the algorithms historically
-// built it, so default-option runs stay bit-identical — the HLL sketch
-// backend, or the sharded exact engine (one shard per worker, exact and
-// byte-identical to the CSR index for any worker count). Worker bounds
-// are inherited from opt.Workers.
+// metric set (which may be nil): the exact index for
+// coverage.EstimatorExact, with one shard per worker so Batcher.Fill
+// generates every shard on its own lane, or the HLL sketch backend.
+// Worker bounds are inherited from opt.Workers. The shard count never
+// changes a result: every exact query is a sum over shards.
 func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage.Estimator {
-	switch opt.Estimator {
-	case coverage.EstimatorHLL:
+	if opt.Estimator == coverage.EstimatorHLL {
 		h := coverage.NewHLLObs(n, outDeg, opt.SketchPrecision, m)
 		h.SetWorkers(opt.Workers)
 		return h
-	case coverage.EstimatorSharded:
-		// One shard per worker, so Batcher.Fill takes the zero-splice
-		// direct-generation path; the shard count never changes a result
-		// (every query is a sum over shards).
-		s := coverage.NewShardedObs(n, outDeg, opt.Workers, m)
-		s.SetWorkers(opt.Workers)
-		return s
 	}
-	idx := coverage.NewIndexObs(n, outDeg, m)
+	idx := coverage.NewIndexObs(n, outDeg, opt.Workers, m)
 	idx.SetWorkers(opt.Workers)
 	return idx
-}
-
-// splice moves the contents of the first `used` arenas into the index
-// store, skipping sentinel-terminated sets, and returns the number of
-// sets skipped. used==1 splices inline; otherwise the counting pass and
-// the copy pass each fan out across the arenas, with a serial O(used)
-// prefix sum in between assigning destination offsets.
-//
-//subsim:parallel
-func (b *Batcher) splice(idx *coverage.Index, used int, sentinel []bool) int64 {
-	if used == 1 {
-		r := b.ring(0)
-		t0 := r.Now()
-		sets, nodes, hits := countKept(b.arenas[0], sentinel)
-		data, ends, nodeBase := idx.Grow(sets, nodes)
-		spliceArena(b.arenas[0], sentinel, data, ends, nodeBase)
-		r.Record(timeline.PhaseSplice, t0, r.Now())
-		return hits
-	}
-	var wg sync.WaitGroup
-	wg.Add(used - 1)
-	for w := 1; w < used; w++ {
-		go func(w int) {
-			defer wg.Done()
-			r := b.ring(w)
-			t0 := r.Now()
-			b.keptSets[w], b.keptNodes[w], b.hitCnt[w] = countKept(b.arenas[w], sentinel)
-			r.Record(timeline.PhaseSplice, t0, r.Now())
-		}(w)
-	}
-	r0 := b.ring(0)
-	t0 := r0.Now()
-	b.keptSets[0], b.keptNodes[0], b.hitCnt[0] = countKept(b.arenas[0], sentinel)
-	r0.Record(timeline.PhaseSplice, t0, r0.Now())
-	wg.Wait()
-
-	totalSets, totalNodes := 0, int64(0)
-	var hits int64
-	for w := 0; w < used; w++ {
-		b.setOff[w] = totalSets
-		b.nodeOff[w] = totalNodes
-		totalSets += b.keptSets[w]
-		totalNodes += int64(b.keptNodes[w])
-		hits += b.hitCnt[w]
-	}
-	data, ends, nodeBase := idx.Grow(totalSets, int(totalNodes))
-
-	wg.Add(used - 1)
-	for w := 1; w < used; w++ {
-		go func(w int) {
-			defer wg.Done()
-			r := b.ring(w)
-			t0 := r.Now()
-			lo := b.nodeOff[w]
-			spliceArena(b.arenas[w], sentinel,
-				data[lo:lo+int64(b.keptNodes[w])],
-				ends[b.setOff[w]:b.setOff[w]+b.keptSets[w]],
-				nodeBase+lo)
-			r.Record(timeline.PhaseSplice, t0, r.Now())
-		}(w)
-	}
-	t0 = r0.Now()
-	spliceArena(b.arenas[0], sentinel,
-		data[:b.keptNodes[0]], ends[:b.keptSets[0]], nodeBase)
-	r0.Record(timeline.PhaseSplice, t0, r0.Now())
-	wg.Wait()
-	return hits
-}
-
-// countKept reports how many of the arena's sets survive sentinel
-// filtering and how many node ids they hold, plus the number filtered
-// out. With no sentinel every set is kept, read straight off the arena
-// totals.
-//
-//subsim:hotpath
-func countKept(a *rrset.Arena, sentinel []bool) (sets, nodes int, hits int64) {
-	if sentinel == nil {
-		return a.Len(), a.NumNodes(), 0
-	}
-	data, ends := a.Data(), a.Ends()
-	start := int64(0)
-	for _, end := range ends {
-		if end > start && sentinel[data[end-1]] {
-			hits++
-		} else {
-			sets++
-			nodes += int(end - start)
-		}
-		start = end
-	}
-	return sets, nodes, hits
-}
-
-// spliceArena copies the arena's kept sets into dst (exactly the kept
-// node ids) and writes their ABSOLUTE exclusive end offsets — base plus
-// the local cumulative length — into ends (exactly the kept set count).
-// With no sentinel it is one block copy plus the offset rewrite.
-//
-//subsim:hotpath
-func spliceArena(a *rrset.Arena, sentinel []bool, dst []int32, ends []int64, base int64) {
-	srcData, srcEnds := a.Data(), a.Ends()
-	if sentinel == nil {
-		copy(dst, srcData)
-		for i, e := range srcEnds {
-			ends[i] = base + e
-		}
-		return
-	}
-	var nodePos int64
-	setPos := 0
-	start := int64(0)
-	for _, end := range srcEnds {
-		if end > start && sentinel[srcData[end-1]] {
-			start = end
-			continue
-		}
-		nodePos += int64(copy(dst[nodePos:], srcData[start:end]))
-		ends[setPos] = base + nodePos
-		setPos++
-		start = end
-	}
 }
 
 // outDegrees extracts the out-degree array used by the Revised-Greedy

@@ -195,8 +195,8 @@ func TestFillIndexSentinelExclusion(t *testing.T) {
 	batch := NewBatcher(rrset.NewVanilla(g), 1, 1)
 	sentinel := make([]bool, 40)
 	sentinel[0] = true
-	idx := coverage.NewIndex(40, nil)
-	hits := batch.FillIndex(idx, 200, sentinel)
+	idx := coverage.NewIndex(40, nil, 1)
+	hits := batch.Fill(idx, 200, sentinel)
 	if hits+int64(idx.NumSets()) != 200 {
 		t.Fatalf("hits %d + indexed %d != 200", hits, idx.NumSets())
 	}

@@ -128,7 +128,7 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 // the number drawn. It implements the stopping-rule estimator on the
 // verification stream, scanning the sets in place in the worker arenas.
 func (b *Batcher) verify(seeds []int32, target, cap int64) (covered, used int64) {
-	g := b.gens[0].Graph()
+	g := b.workers[0].gen.Graph()
 	inSeed := make([]bool, g.N())
 	for _, s := range seeds {
 		inSeed[s] = true

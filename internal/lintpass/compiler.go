@@ -39,7 +39,7 @@ type FuncTelemetry struct {
 }
 
 // Telemetry maps receiver-qualified function keys — e.g.
-// "internal/coverage.(*Batcher).splice" — to their diagnostic counts
+// "internal/coverage.(*covShard).build" — to their diagnostic counts
 // for one compile of the module.
 type Telemetry struct {
 	ModulePath string
@@ -193,7 +193,7 @@ func parseDiagnostic(text string) (file string, line int, msg string, ok bool) {
 
 // funcExtent is one function declaration's line range in a file.
 type funcExtent struct {
-	name       string // receiver-qualified: FillIndex, (*Batcher).splice
+	name       string // receiver-qualified: ShardOf, (*covShard).build
 	start, end int
 	hotpath    bool
 }

@@ -13,6 +13,7 @@ import (
 // seedable streams of internal/rng and no wall-clock value may reach an
 // algorithm decision.
 var algorithmPackages = []string{
+	"internal/graph",
 	"internal/rrset",
 	"internal/im",
 	"internal/core",

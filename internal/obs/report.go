@@ -136,7 +136,6 @@ func (t *Tracer) Report() *Report {
 		"index_build_ns":          m.IndexBuild.Snapshot(),
 		"index_build_serial_ns":   m.IndexBuildSerial.Snapshot(),
 		"index_build_parallel_ns": m.IndexBuildParallel.Snapshot(),
-		"splice_ns":               m.Splice.Snapshot(),
 	}
 	r.WorkerSets = m.WorkerSnapshot()
 	r.WorkerBusy = m.WorkerBusySnapshot()

@@ -34,8 +34,8 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // writeDerived emits gauges computed from the raw instruments: the
 // per-worker sampling utilization (busy ns over plane uptime) and the
-// share of wall-clock the coverage half of the pipeline spent in the
-// arena→store splice and CSR index builds (the PR-4 parallel sections).
+// share of wall-clock the coverage half of the pipeline spent in CSR
+// index builds.
 func (p *Plane) writeDerived(buf *bytes.Buffer) {
 	m := p.tracer.Metrics()
 	up := p.uptime().Nanoseconds()
@@ -47,11 +47,10 @@ func (p *Plane) writeDerived(buf *bytes.Buffer) {
 		}
 	}
 	if m != nil && up > 0 {
-		splice := m.Splice.Sum()
 		index := m.IndexBuild.Sum()
 		name := "subsim_coverage_busy_ratio"
-		fmt.Fprintf(buf, "# HELP %s Fraction of process uptime spent in arena splice + CSR index builds.\n# TYPE %s gauge\n", name, name)
-		fmt.Fprintf(buf, "%s %s\n", name, promFloat(float64(splice+index)/float64(up)))
+		fmt.Fprintf(buf, "# HELP %s Fraction of process uptime spent in CSR index builds.\n# TYPE %s gauge\n", name, name)
+		fmt.Fprintf(buf, "%s %s\n", name, promFloat(float64(index)/float64(up)))
 	}
 }
 

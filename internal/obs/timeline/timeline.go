@@ -47,11 +47,8 @@ const (
 	// PhaseGenerate is one RR-set reverse traversal (recorded per set by
 	// rrset.InstrumentWorker).
 	PhaseGenerate Phase = iota
-	// PhaseSplice is one worker's share of an arena→store splice pass
-	// (count or copy) in im.Batcher.FillIndex.
-	PhaseSplice
-	// PhaseIndexBuild is one worker's share of a delta CSR rebuild in
-	// coverage.Index (one interval per parallel sub-pass, or one for the
+	// PhaseIndexBuild is one worker's share of the per-shard delta CSR
+	// rebuilds in coverage.Index (one interval per lane, or one for the
 	// whole serial rebuild).
 	PhaseIndexBuild
 	// PhaseGains is one worker's share of the first CELF round (the
@@ -59,11 +56,11 @@ const (
 	PhaseGains
 	// PhaseSelect is the serial lazy-greedy CELF loop (coordinator only).
 	PhaseSelect
-	// PhaseReduce is one worker's share of a fanned-out CELF round in the
-	// sharded coverage engine: a per-shard partial marginal recompute or
+	// PhaseReduce is one worker's share of a fanned-out CELF round in
+	// coverage.Index: a per-shard partial marginal recompute or
 	// covered-bit update whose partial aggregates are tree-reduced by the
-	// coordinator (coverage.Sharded). These records are what make rounds
-	// beyond the first visible as parallel in the timeline digest.
+	// coordinator. These records are what make rounds beyond the first
+	// visible as parallel in the timeline digest.
 	PhaseReduce
 	// PhaseOther is the catch-all for callers outside the known pipeline.
 	PhaseOther
@@ -72,7 +69,7 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"generate", "splice", "index-build", "select-gains", "select", "reduce", "other",
+	"generate", "index-build", "select-gains", "select", "reduce", "other",
 }
 
 // String returns the stable lower-case phase name used in exports.
@@ -227,7 +224,7 @@ type Timeline struct {
 	clock    func() int64
 	capacity int
 
-	mu    sync.Mutex            // guards ring-vector growth
+	mu    sync.Mutex              // guards ring-vector growth
 	rings atomic.Pointer[[]*Ring] // copy-on-write: readers never lock
 }
 

@@ -75,7 +75,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 		t.Fatal("Worker(0) not stable")
 	}
 
-	r1.Record(PhaseSplice, 500, 900)
+	r1.Record(PhaseReduce, 500, 900)
 	r0.Record(PhaseGenerate, 100, 300)
 	r0.Record(PhaseGenerate, 300, 450)
 
@@ -90,7 +90,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 	want := []Record{
 		{Worker: 0, Phase: PhaseGenerate, StartNS: 100, EndNS: 300},
 		{Worker: 0, Phase: PhaseGenerate, StartNS: 300, EndNS: 450},
-		{Worker: 1, Phase: PhaseSplice, StartNS: 500, EndNS: 900},
+		{Worker: 1, Phase: PhaseReduce, StartNS: 500, EndNS: 900},
 	}
 	for i, rec := range snap.Records {
 		if rec != want[i] {

@@ -20,9 +20,9 @@ import (
 // Oracle answers influence queries over a fixed RR collection. Build one
 // with New or NewWithPrecision. The zero value is not usable.
 //
-// The collection lives in the flat arena-backed coverage.Index (CSR
-// store + CSR inverted index), so construction performs no per-set heap
-// allocation and queries walk contiguous posting lists.
+// The collection lives in the exact coverage.Index (shard arenas plus a
+// CSR inverted index per shard), so construction performs no per-set
+// heap allocation and queries walk contiguous posting lists.
 //
 // Oracle queries mutate a small amount of scratch state and are NOT safe
 // for concurrent use; guard with a mutex or build one oracle per
@@ -46,11 +46,11 @@ func New(gen rrset.Generator, theta int64, seed uint64, workers int) (*Oracle, e
 	o := &Oracle{
 		n:     g.N(),
 		theta: theta,
-		idx:   coverage.NewIndex(g.N(), nil),
+		idx:   coverage.NewIndex(g.N(), nil, workers),
 	}
 	o.idx.SetWorkers(workers)
 	b := im.NewBatcher(gen, seed, workers)
-	b.FillIndex(o.idx, int(theta), nil)
+	b.Fill(o.idx, int(theta), nil)
 	o.stats = b.Stats()
 	return o, nil
 }

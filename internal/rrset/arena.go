@@ -7,10 +7,11 @@ package rrset
 // has grown to its steady-state capacity; Reset recycles the memory for
 // the next batch.
 //
-// An Arena is not safe for concurrent use. The Batcher keeps one arena
-// per worker and splices them in deterministic global-index order, which
-// is what keeps parallel generation allocation-free AND worker-count
-// independent.
+// An Arena is not safe for concurrent use. Each shard of a
+// coverage.Index owns one arena, which the Batcher generates into
+// directly, and the Batcher keeps one scratch arena per worker for
+// Visit; every arena has a single writer at a time, which is what keeps
+// parallel generation allocation-free AND worker-count independent.
 type Arena struct {
 	data []int32
 	ends []int64 // ends[i] is the exclusive end of set i in data
@@ -62,8 +63,8 @@ func (a *Arena) Set(i int) []int32 {
 
 // Data returns the flat node-id buffer of all sets back to back; Ends
 // the per-set exclusive end offsets. Both are live read-only views for
-// zero-copy splice passes (Batcher.FillIndex block-copies them into the
-// coverage store); they are invalidated by the next append or Reset.
+// zero-copy passes (CSR index builds, estimator ingestion); they are
+// invalidated by the next append or Reset.
 func (a *Arena) Data() []int32 { return a.data }
 
 // Ends returns the per-set exclusive end offsets (see Data).
@@ -71,19 +72,18 @@ func (a *Arena) Ends() []int64 { return a.ends }
 
 // Append copies one RR set into the arena as a committed set. It is the
 // generic ingestion path for callers that route already-generated sets
-// into shard-local arenas (coverage.Sharded); generators writing in
-// place still go through GenerateInto, which skips the copy.
+// into shard arenas (coverage.Index.Add); generators writing in place
+// still go through GenerateInto, which skips the copy.
 func (a *Arena) Append(set []int32) {
 	a.data = append(a.data, set...)
 	a.ends = append(a.ends, int64(len(a.data)))
 }
 
 // DropLast removes the most recently committed set, returning its node
-// ids to the free tail of the buffer. It is how the zero-splice fill
-// path discards a sentinel-terminated set in place — the set is
-// generated directly into its shard's arena and truncated on detection
-// instead of being filtered by a copy pass. Panics if the arena is
-// empty.
+// ids to the free tail of the buffer. It is how Batcher.Fill discards a
+// sentinel-terminated set in place — the set is generated directly into
+// its shard's arena and truncated on detection instead of being
+// filtered by a copy pass. Panics if the arena is empty.
 func (a *Arena) DropLast() {
 	n := len(a.ends) - 1
 	start := int64(0)
@@ -95,8 +95,7 @@ func (a *Arena) DropLast() {
 }
 
 // MemoryBytes reports the approximate heap footprint of the arena's two
-// flat buffers — the same accounting as Store.MemoryBytes, needed now
-// that shard-local arenas ARE store segments (coverage.Sharded).
+// flat buffers; a coverage.Index counts its shard arenas through it.
 func (a *Arena) MemoryBytes() int64 {
 	return int64(cap(a.data))*4 + int64(cap(a.ends))*8
 }
@@ -110,78 +109,6 @@ func (a *Arena) start() int { return len(a.data) }
 func (a *Arena) commit(buf []int32) {
 	a.data = buf
 	a.ends = append(a.ends, int64(len(buf)))
-}
-
-// Store is the flat, arena-backed RR collection behind coverage.Index:
-// all node ids of all sets in one contiguous []int32 with per-set end
-// offsets (CSR over sets). Append copies set data into the flat buffer,
-// so callers may pass transient arena views.
-type Store struct {
-	data []int32
-	ends []int64
-}
-
-// NumSets returns the number of stored RR sets.
-func (s *Store) NumSets() int { return len(s.ends) }
-
-// NumNodes returns the total node-id count across all stored sets.
-func (s *Store) NumNodes() int { return len(s.data) }
-
-// Set returns the i-th stored RR set as a view into the flat buffer.
-// The view stays valid across appends in content (data is append-only)
-// but should not be retained across reallocation-sensitive code; copy to
-// keep long-term.
-func (s *Store) Set(i int) []int32 {
-	start := int64(0)
-	if i > 0 {
-		start = s.ends[i-1]
-	}
-	return s.data[start:s.ends[i]:s.ends[i]]
-}
-
-// SetSpan returns the [start, end) offsets of set i in the flat buffer.
-func (s *Store) SetSpan(i int) (start, end int64) {
-	if i > 0 {
-		start = s.ends[i-1]
-	}
-	return start, s.ends[i]
-}
-
-// Data returns the flat node-id buffer; Ends the per-set end offsets.
-// Both are live views for read-only CSR passes (index builds).
-func (s *Store) Data() []int32 { return s.data }
-
-// Ends returns the per-set exclusive end offsets.
-func (s *Store) Ends() []int64 { return s.ends }
-
-// Append copies one RR set into the store.
-func (s *Store) Append(set []int32) {
-	s.data = append(s.data, set...)
-	s.ends = append(s.ends, int64(len(s.data)))
-}
-
-// Reserve grows the store for about sets more sets totalling about
-// nodes more ids, geometrically (see Arena.Reserve).
-func (s *Store) Reserve(sets, nodes int) {
-	s.data = growInt32(s.data, nodes)
-	s.ends = growInt64(s.ends, sets)
-}
-
-// Grow is the range-reservation API behind the parallel splice: it
-// extends the store by exactly sets uninitialised set slots totalling
-// exactly nodes node ids and returns the two destination regions plus
-// the absolute offset data[0] corresponds to in the flat buffer.
-// Callers must fill data completely and write ends as ABSOLUTE
-// exclusive end offsets (i.e. nodeBase + local cumulative length)
-// before the store is read again; disjoint sub-ranges may be filled
-// from different goroutines. Growth is geometric, so repeated Grow
-// calls stay amortised O(1) per element.
-func (s *Store) Grow(sets, nodes int) (data []int32, ends []int64, nodeBase int64) {
-	nodeBase = int64(len(s.data))
-	setBase := len(s.ends)
-	s.data = growInt32(s.data, nodes)[:len(s.data)+nodes]
-	s.ends = growInt64(s.ends, sets)[:len(s.ends)+sets]
-	return s.data[nodeBase:], s.ends[setBase:], nodeBase
 }
 
 // growInt32 returns buf with capacity for at least extra more elements,
@@ -213,10 +140,4 @@ func growInt64(buf []int64, extra int) []int64 {
 	grown := make([]int64, len(buf), newCap)
 	copy(grown, buf)
 	return grown
-}
-
-// MemoryBytes reports the approximate heap footprint of the store's two
-// flat buffers, the number observability surfaces as bytes/set.
-func (s *Store) MemoryBytes() int64 {
-	return int64(cap(s.data))*4 + int64(cap(s.ends))*8
 }

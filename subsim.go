@@ -85,27 +85,23 @@ type Options = im.Options
 type Result = im.Result
 
 // EstimatorKind selects the coverage backend via Options.Estimator: the
-// exact CSR inverted index (the zero value) or the HyperLogLog sketch
-// backend, which trades a certified relative error for θ-independent
-// memory. See coverage.Estimator for the contract.
+// exact engine (the zero value) — RR sets kept in one shard per worker,
+// each with its own CSR inverted index, every query a sum over shards —
+// or the HyperLogLog sketch backend, which trades a certified relative
+// error for θ-independent memory. See coverage.Estimator for the
+// contract.
 type EstimatorKind = coverage.EstimatorKind
 
 // Coverage estimator backends.
 const (
-	// EstimatorExact is the exact CSR inverted index (default;
-	// bit-identical to historic runs).
+	// EstimatorExact is the exact sharded CSR engine (default;
+	// byte-identical results for any worker count).
 	EstimatorExact = coverage.EstimatorExact
 	// EstimatorHLL is the register-array HyperLogLog sketch backend.
 	EstimatorHLL = coverage.EstimatorHLL
-	// EstimatorSharded is the shard-parallel exact engine: per-worker
-	// shard-local arenas and CSR indexes (no splice copy, no global
-	// merge) with every CELF round fanned out and tree-reduced.
-	// Byte-identical results to EstimatorExact for any worker count.
-	EstimatorSharded = coverage.EstimatorSharded
 )
 
-// ParseEstimator maps a flag value ("exact" | "hll" | "sharded") to its
-// kind.
+// ParseEstimator maps a flag value ("exact" | "hll") to its kind.
 func ParseEstimator(s string) (EstimatorKind, error) { return coverage.ParseEstimator(s) }
 
 // BoundKind selects the sample-complexity analysis capping θ via
