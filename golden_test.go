@@ -50,12 +50,28 @@ func goldenGraphs(t *testing.T) map[string]*subsim.Graph {
 		t.Fatal(err)
 	}
 	ws.AssignWC()
-	return map[string]*subsim.Graph{"er-wc": er, "er-wcv": erv, "ws-wc": ws}
+	pa, err := subsim.GenPreferentialAttachment(5000, 10, false, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa.AssignWC()
+	pav, err := subsim.GenPreferentialAttachment(5000, 10, false, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pav.AssignWCVariant(3)
+	return map[string]*subsim.Graph{"er-wc": er, "er-wcv": erv, "ws-wc": ws, "pa-wc": pa, "pa-wcv": pav}
 }
 
 // TestGoldenResults pins the exact outputs of OPIM-C, IMM and
 // HIST+SUBSIM (plus TIM+ and SSA on one graph) at workers 1, 2 and 8
 // against values recorded with the former single-store coverage index.
+// Large-k rows on a preferential-attachment graph follow, recorded with
+// the full-scan Λᵘ bound that the CELF-heap walk replaced: SUBSIM and
+// HIST+SUBSIM at k=200 under WC and HIST+SUBSIM under the WC variant,
+// where the bound is evaluated at many prefixes with a large L (HIST's
+// second phase bounds with TopL = k > k-b, an exclusion mask and a
+// sentinel base).
 // Any change to RR generation, the coverage engine or the algorithm
 // loops that moves a seed, a bound bit or a generation counter fails
 // here. Regenerate only for an intended change of results:
@@ -64,23 +80,33 @@ func goldenGraphs(t *testing.T) map[string]*subsim.Graph {
 func TestGoldenResults(t *testing.T) {
 	graphs := goldenGraphs(t)
 	algs := []subsim.Algorithm{subsim.AlgOPIMC, subsim.AlgIMM, subsim.AlgHISTSubsim}
+	type goldenCase struct {
+		graph string
+		algs  []subsim.Algorithm
+		k     int
+	}
+	cases := []goldenCase{
+		// TIM+ and SSA generate 5-50x the sets of OPIM-C on er-wc, so
+		// they run on one graph only. TIM+ is the baseline that feeds the
+		// index one set at a time (Index.Add).
+		{"er-wc", slices.Concat(algs, []subsim.Algorithm{subsim.AlgTIMPlus, subsim.AlgSSA}), 20},
+		{"er-wcv", algs, 20},
+		{"ws-wc", algs, 20},
+		// On pa-wcv the upper bound saturates at n, so the HIST row on
+		// pa-wc is the one whose second-phase bound bits are pinned.
+		{"pa-wc", []subsim.Algorithm{subsim.AlgSUBSIM, subsim.AlgHISTSubsim}, 200},
+		{"pa-wcv", []subsim.Algorithm{subsim.AlgHISTSubsim}, 200},
+	}
 	var got []goldenRecord
-	for _, name := range []string{"er-wc", "er-wcv", "ws-wc"} {
-		graphAlgs := algs
-		if name == "er-wc" {
-			// TIM+ and SSA generate 5-50x the sets of OPIM-C here, so they
-			// run on one graph only. TIM+ is the baseline that feeds the
-			// index one set at a time (Index.Add).
-			graphAlgs = slices.Concat(algs, []subsim.Algorithm{subsim.AlgTIMPlus, subsim.AlgSSA})
-		}
-		for _, alg := range graphAlgs {
+	for _, c := range cases {
+		for _, alg := range c.algs {
 			for _, w := range []int{1, 2, 8} {
-				res, err := subsim.Maximize(graphs[name], alg, subsim.Options{K: 20, Eps: 0.2, Seed: 5, Workers: w})
+				res, err := subsim.Maximize(graphs[c.graph], alg, subsim.Options{K: c.k, Eps: 0.2, Seed: 5, Workers: w})
 				if err != nil {
-					t.Fatalf("%s %v w=%d: %v", name, alg, w, err)
+					t.Fatalf("%s %v w=%d: %v", c.graph, alg, w, err)
 				}
 				got = append(got, goldenRecord{
-					Graph: name, Alg: alg.String(), Workers: w,
+					Graph: c.graph, Alg: alg.String(), Workers: w,
 					Seeds: res.Seeds, LowerBound: res.LowerBound, UpperBound: res.UpperBound,
 					Approx: res.Approx, RRStats: res.RRStats, Rounds: res.Rounds,
 				})

@@ -126,13 +126,12 @@ type Index struct {
 	runNext   int  // collection index of the open run's next set
 
 	// Selection scratch reused across SelectSeeds runs: CELF heap
-	// backing, per-node gain upper bounds, selected marks (reset after
-	// each run), topSum buffer and per-lane reduce partials (also the
-	// entry-slot bases of the partitioned first round).
+	// backing, the Λᵘ walk's frontier, the initial-gain staging array of
+	// the partitioned first round and per-lane reduce partials (also
+	// that round's entry-slot bases).
 	selEntries  []celfEntry
+	selFrontier []int32
 	selGains    []int64
-	selSelected []bool
-	topScratch  []int64
 	partial     []int64
 
 	// Optional observability hooks (nil-safe): rebuild duration (total
@@ -748,8 +747,9 @@ type celfEntry struct {
 // total order (node ids are unique), so the pop sequence — and with it
 // every greedy pick — is identical to the container/heap version.
 type celfHeap struct {
-	entries []celfEntry
-	outDeg  []int32 // nil disables the out-degree tie-break
+	entries  []celfEntry
+	outDeg   []int32 // nil disables the out-degree tie-break
+	frontier []int32 // topGainSum scratch: entry positions
 }
 
 func (h *celfHeap) Len() int { return len(h.entries) }
@@ -837,6 +837,71 @@ func (h *celfHeap) pop() celfEntry {
 	return top
 }
 
+// topGainSum returns the sum of the topL largest gains in the heap
+// without modifying it. less orders by gain first, so no entry's gain
+// exceeds its parent's: a best-first walk from the root — a small
+// max-heap of entry positions keyed by gain, popping the largest and
+// pushing its two children — visits gains in non-increasing order. It
+// stops after topL pops or at the first zero gain, so one call costs
+// O(topL log topL) however many entries the heap holds. The result is
+// an integer sum, so the order in which equal gains are visited cannot
+// change it.
+//
+//subsim:hotpath
+func (h *celfHeap) topGainSum(topL int) int64 {
+	es := h.entries
+	if topL <= 0 || len(es) == 0 {
+		return 0
+	}
+	fr := append(h.frontier[:0], 0)
+	var sum int64
+	for taken := 0; taken < topL && len(fr) > 0; taken++ {
+		top := int(fr[0])
+		g := es[top].gain
+		if g == 0 {
+			break // every gain left in the frontier, and below it, is 0
+		}
+		sum += g
+		// Replace the popped position by its left child (or, at a leaf,
+		// by the frontier's last position), sift it down, then push the
+		// right child.
+		if c := 2*top + 1; c < len(es) {
+			fr[0] = int32(c)
+		} else {
+			fr[0] = fr[len(fr)-1]
+			fr = fr[:len(fr)-1]
+		}
+		for i := 0; ; {
+			l := 2*i + 1
+			if l >= len(fr) {
+				break
+			}
+			best := l
+			if r := l + 1; r < len(fr) && es[fr[r]].gain > es[fr[l]].gain {
+				best = r
+			}
+			if es[fr[best]].gain <= es[fr[i]].gain {
+				break
+			}
+			fr[i], fr[best] = fr[best], fr[i]
+			i = best
+		}
+		if c := 2*top + 2; c < len(es) {
+			fr = append(fr, int32(c))
+			for i := len(fr) - 1; i > 0; {
+				p := (i - 1) / 2
+				if es[fr[p]].gain >= es[fr[i]].gain {
+					break
+				}
+				fr[i], fr[p] = fr[p], fr[i]
+				i = p
+			}
+		}
+	}
+	h.frontier = fr[:0]
+	return sum
+}
+
 // SelectSeeds runs the (revised) greedy max-coverage algorithm with lazy
 // marginal evaluation and computes the Λᵘ upper bound along the way.
 //
@@ -847,16 +912,20 @@ func (h *celfHeap) pop() celfEntry {
 //
 // The upper bound is evaluated at prefix 0, at every power-of-two prefix,
 // and at the final prefix; the minimum is returned. Skipping intermediate
-// prefixes can only loosen the bound, never invalidate it, and keeps the
-// bound's cost at O(n log K · log k) instead of O(n·k).
+// prefixes can only loosen the bound, never invalidate it. At each of
+// those O(log k) prefixes the heap holds exactly the unselected,
+// non-excluded nodes, each keyed by its stored gain (an upper bound on
+// its current marginal), so the top-L sum is a walk of the heap's top
+// (topGainSum) in O(L log L), independent of n.
 //
 // With SetWorkers(w>1) the first CELF round (initial gains for all n
 // nodes and the entry fill) is partitioned across node ranges, and every
 // later round's heavy work (stale-top marginal recomputes and the
 // covered-bit commit) fans out across shards; the heap itself stays
-// serial. Per-run scratch (heap backing array, gain vector, selected
-// marks) is reused across calls, so repeated selection rounds on a warm
-// index do not allocate beyond the returned Seeds/Coverage slices.
+// serial. Per-run scratch (heap backing array, walk frontier, gain
+// staging array) is reused across calls, so repeated selection rounds on
+// a warm index do not allocate beyond the returned Seeds/Coverage
+// slices.
 //
 //subsim:parallel
 func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
@@ -886,34 +955,30 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 	if cap(x.selEntries) < x.n {
 		x.selEntries = make([]celfEntry, 0, x.n)
 	}
-	if len(x.selGains) < x.n {
-		x.selGains = make([]int64, x.n)
-	}
-	if len(x.selSelected) < x.n {
-		x.selSelected = make([]bool, x.n) // reset to all-false after every run
+	if f := min(topL, x.n) + 1; cap(x.selFrontier) < f {
+		x.selFrontier = make([]int32, 0, f) // the walk never holds more
 	}
 	var h celfHeap
 	h.outDeg = tie
 	h.entries = x.selEntries[:0]
-	gains := x.selGains[:x.n] // latest computed gain per node (a valid upper bound)
-	selected := x.selSelected[:x.n]
+	h.frontier = x.selFrontier[:0]
 
 	secG := x.secGains.Enter()
 	if x.workers > 1 && x.n >= parallelGainsMinNodes {
 		// Per-worker interval records come out of the runTimed wrapper
 		// around each gains sub-pass (parallel.go).
-		h.entries = x.parallelInitialGains(h.entries, gains, opt.Exclude)
+		if len(x.selGains) < x.n {
+			x.selGains = make([]int64, x.n)
+		}
+		h.entries = x.parallelInitialGains(h.entries, x.selGains[:x.n], opt.Exclude)
 	} else {
 		r := x.ring(0)
 		t0 := r.Now()
 		for v := 0; v < x.n; v++ {
 			if opt.Exclude != nil && opt.Exclude[v] {
-				gains[v] = 0 // keeps the reused gain vector topSum-safe
 				continue
 			}
-			g := x.postingMass(int32(v))
-			gains[v] = g
-			h.entries = append(h.entries, celfEntry{gain: g, node: int32(v), iter: 0})
+			h.entries = append(h.entries, celfEntry{gain: x.postingMass(int32(v)), node: int32(v), iter: 0})
 		}
 		r.Record(timeline.PhaseGains, t0, r.Now())
 	}
@@ -928,7 +993,7 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 
 	// Upper bound at prefix 0: Base + sum of the topL largest initial
 	// coverages.
-	res.tightenUpper(opt.Base + x.topSum(gains, selected, topL))
+	res.tightenUpper(opt.Base + h.topGainSum(topL))
 
 	secS := x.secSelect.Enter()
 	rSel := x.ring(0)
@@ -948,12 +1013,9 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 			// Stale: recompute the exact marginal and reinsert.
 			pick.gain = x.marginal(pick.node)
 			pick.iter = round - 1
-			gains[pick.node] = pick.gain
 			h.push(pick)
 		}
 		v := pick.node
-		selected[v] = true
-		gains[v] = 0
 		cum += x.commitSeed(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Coverage = append(res.Coverage, opt.Base+cum)
@@ -962,18 +1024,13 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 			// Stored gains upper-bound each node's current marginal
 			// (submodularity), so their topL sum dominates the true
 			// maxMC sum at this prefix.
-			res.tightenUpper(opt.Base + cum + x.topSum(gains, selected, topL))
+			res.tightenUpper(opt.Base + cum + h.topGainSum(topL))
 			nextBoundAt *= 2
 		}
 	}
 	rSel.Record(timeline.PhaseSelect, tSel, rSel.Now())
 	secS.Exit()
-	// Recycle the scratch: clear the selected marks (only the picked
-	// seeds are set) and keep the heap's backing array, which push may
-	// have regrown.
-	for _, v := range res.Seeds {
-		selected[v] = false
-	}
+	// Keep the heap's backing array, which push may have regrown.
 	x.selEntries = h.entries[:0]
 	return res
 }
@@ -981,66 +1038,5 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 func (r *GreedyResult) tightenUpper(bound int64) {
 	if bound < r.CoverageUpper {
 		r.CoverageUpper = bound
-	}
-}
-
-// topSum returns the sum of the topL largest values among unselected
-// nodes, via a bounded insertion buffer in O(n log topL). The buffer is
-// index-level scratch reused across calls.
-func (x *Index) topSum(gains []int64, selected []bool, topL int) int64 {
-	if topL <= 0 {
-		return 0
-	}
-	if cap(x.topScratch) < topL {
-		x.topScratch = make([]int64, 0, topL)
-	}
-	s, buf := topSumInt64(x.topScratch[:0], gains, selected, topL)
-	x.topScratch = buf
-	return s
-}
-
-// topSumInt64 is the bounded-insertion top-L sum behind the Λᵘ prefix
-// bound: the sum of the topL largest gains among unselected nodes. best
-// is caller-owned scratch with capacity >= topL, length 0; the possibly
-// regrown buffer is returned for reuse.
-func topSumInt64(best []int64, gains []int64, selected []bool, topL int) (int64, []int64) {
-	for v, g := range gains {
-		if selected[v] || g == 0 {
-			continue
-		}
-		if len(best) < topL {
-			best = append(best, g)
-			if len(best) == topL {
-				insertionSortInt64(best)
-			}
-			continue
-		}
-		if g > best[0] {
-			// Replace the minimum and restore order by insertion.
-			best[0] = g
-			for i := 1; i < len(best) && best[i] < best[i-1]; i++ {
-				best[i], best[i-1] = best[i-1], best[i]
-			}
-		}
-	}
-	if len(best) < topL {
-		insertionSortInt64(best)
-	}
-	var s int64
-	for _, g := range best {
-		s += g
-	}
-	return s, best[:0]
-}
-
-// insertionSortInt64 sorts ascending in place without the interface
-// boxing of sort.Slice (topSum runs on the selection path, where that
-// closure allocation is measurable across CELF rounds). The buffers are
-// at most topL ≈ k elements, where insertion sort is fine.
-func insertionSortInt64(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -390,5 +391,57 @@ func TestExcludeSkipsNodes(t *testing.T) {
 	}
 	if res.Seeds[0] != 1 {
 		t.Fatalf("first pick %d, want 1", res.Seeds[0])
+	}
+}
+
+// TestTopGainSumMatchesSort checks the Λᵘ heap walk against a
+// sort-descending reference on random valid CELF heaps: 0–300 entries,
+// many zero and repeated gains, built by interleaved pushes and pops
+// with and without the out-degree tie-break. The walk must not modify
+// the heap.
+func TestTopGainSumMatchesSort(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		size := r.Intn(301)
+		var h celfHeap
+		tieBreak := r.Intn(2) == 0
+		for node := 0; len(h.entries) < size; node++ {
+			if tieBreak {
+				h.outDeg = append(h.outDeg, int32(r.Intn(4)))
+			}
+			var g int64
+			if r.Intn(3) > 0 {
+				g = int64(1 + r.Intn(8))
+			}
+			h.push(celfEntry{gain: g, node: int32(node)})
+			if r.Intn(4) == 0 {
+				h.pop()
+			}
+		}
+		gains := make([]int64, len(h.entries))
+		for i, e := range h.entries {
+			gains[i] = e.gain
+		}
+		slices.Sort(gains)
+		slices.Reverse(gains)
+		before := slices.Clone(h.entries)
+		for _, topL := range []int{0, 1, size - 1, size, size + 5} {
+			var want int64
+			for i := 0; i < topL && i < len(gains); i++ {
+				want += gains[i]
+			}
+			if got := h.topGainSum(topL); got != want {
+				t.Logf("seed %d size %d topL %d: walk %d, sort %d", seed, size, topL, got, want)
+				return false
+			}
+			if !slices.Equal(h.entries, before) {
+				t.Logf("seed %d size %d topL %d: walk modified the heap", seed, size, topL)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

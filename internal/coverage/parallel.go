@@ -127,16 +127,15 @@ func (x *Index) parallelInitialGains(entries []celfEntry, gains []int64, exclude
 	return entries
 }
 
-// gainsRange writes the shard-summed initial gain of every node in
-// [lo, hi) — or 0 for excluded nodes, keeping the reused gain vector
-// topSum-safe — and returns the number of non-excluded nodes.
+// gainsRange writes the shard-summed initial gain of every non-excluded
+// node in [lo, hi) into the staging array and returns how many there
+// are.
 //
 //subsim:hotpath
 func (x *Index) gainsRange(gains []int64, exclude []bool, lo, hi int) int64 {
 	var cnt int64
 	for v := lo; v < hi; v++ {
 		if exclude != nil && exclude[v] {
-			gains[v] = 0
 			continue
 		}
 		var g int64

@@ -231,6 +231,22 @@ func TestShardedSelectSeedsScratchReuse(t *testing.T) {
 	if allocs > 3 {
 		t.Fatalf("SelectSeeds allocates %.1f objects/run on a warm four-shard index", allocs)
 	}
+
+	// A long selection evaluates the Λᵘ walk at more prefixes and with a
+	// larger L; its frontier is index scratch too, so K = TopL = 500
+	// allocates no more than K = 50.
+	const big = 2000
+	y := shardIndexFromSets(big, 4, nil, randomSets(r, big, 8000, 8))
+	warmAllocs := func(k int) float64 {
+		y.SelectSeeds(GreedyOptions{K: k, TopL: k})
+		return testing.AllocsPerRun(10, func() {
+			y.SelectSeeds(GreedyOptions{K: k, TopL: k})
+		})
+	}
+	small, large := warmAllocs(50), warmAllocs(500)
+	if large > small {
+		t.Fatalf("warm SelectSeeds allocates %.1f objects/run at K=500, %.1f at K=50", large, small)
+	}
 }
 
 // TestShardedRebuildScratchReuse verifies the per-shard double-buffered

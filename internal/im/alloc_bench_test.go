@@ -138,6 +138,23 @@ func BenchmarkSelectSeeds_W1(b *testing.B) { benchSelectWorkers(b, 1) }
 func BenchmarkSelectSeeds_W4(b *testing.B) { benchSelectWorkers(b, 4) }
 func BenchmarkSelectSeeds_W8(b *testing.B) { benchSelectWorkers(b, 8) }
 
+// BenchmarkSelectSeeds_K2000 measures a long selection on a
+// preferential-attachment index of tiny SUBSIM sets at one worker: with
+// k=2000 the Λᵘ prefix bound is evaluated at 12 prefixes with L=2000,
+// the selection-heavy shape of a large-k SUBSIM solve.
+func BenchmarkSelectSeeds_K2000(b *testing.B) {
+	g := benchBAGraph(b, 20000, 10)
+	batch := NewBatcher(rrset.NewSubsim(g), 42, 1)
+	idx := coverage.NewIndex(g.N(), nil, 1)
+	batch.Fill(idx, 8000, nil)
+	idx.Degree(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = idx.SelectSeeds(coverage.GreedyOptions{K: 2000})
+	}
+}
+
 // BenchmarkOPIMC_E2E measures an end-to-end OPIM-C run with SUBSIM
 // generation on the ER benchmark graph.
 func BenchmarkOPIMC_E2E_Subsim(b *testing.B) {
