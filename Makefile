@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke cover bench bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke cover bench bench-json bench-scale bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
 
 all: build vet lint test test-alloc race serve-smoke scale-smoke flight-smoke escape-gate
 
@@ -43,7 +43,6 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzBucketedSampler$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/coverage -run '^$$' -fuzz '^FuzzHLLMerge$$' -fuzztime $(FUZZTIME)
 
 # Text dumps from test/bench targets land under bin/ (gitignored as a
 # whole), so scratch artifacts can never reappear at the repo root.
@@ -160,18 +159,6 @@ bench-scale:
 	$(GO) test ./internal/coverage -run '^$$' -bench '$(BENCH_SCALE_COV)' -benchmem 2>&1 | tee -a bin/bench_scale.txt
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label parallel-cover bin/bench_scale.txt
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,parallel-cover -filter '_W1$$'
-
-# Coverage-estimator memory/time crossover: the fill→select path through
-# the exact CSR index vs the HLL sketch backend on the largest bench
-# graph, recorded under the "sketch-cover" label. The "index-bytes"
-# extra column is the evidence: the sketch's register file stays at
-# m bytes/node while the exact index grows with θ. The gate re-checks
-# ns/op of the recorded pair so a sketch slowdown can't creep in.
-bench-sketch:
-	@mkdir -p bin
-	$(GO) test ./internal/im -run '^$$' -bench 'BenchmarkSketchCover' -benchmem 2>&1 | tee bin/bench_sketch.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label sketch-cover bin/bench_sketch.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check sketch-cover,sketch-cover
 
 # Workers×graph scaling matrix: sweep the full pipeline (generate,
 # delta CSR build, select) over worker counts, compute per-phase

@@ -305,7 +305,7 @@ func printComparison(w io.Writer, old, cur Run) {
 }
 
 // printExtraMetrics lists custom b.ReportMetric units recorded in either
-// run (e.g. the sketch-memory "index-bytes" column of the sketch-cover
+// run (e.g. the "speedup" and "efficiency" columns of the scale-matrix
 // label) as per-unit comparison rows under the main table.
 func printExtraMetrics(w io.Writer, names []string, old, cur Run) {
 	units := map[string]bool{}

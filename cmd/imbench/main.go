@@ -13,9 +13,6 @@
 //	-eps     approximation parameter ε (default 0.1)
 //	-seed    RNG seed (default 2020)
 //	-workers RR-generation parallelism (default GOMAXPROCS)
-//	-estimator coverage backend: "exact" (sharded CSR index) or "hll"
-//	         (sketch)
-//	-sketch-p  HLL register exponent p in [4,16] (0 = default 8)
 //	-bound   sample-complexity analysis: "imm" (worst-case) or "tight"
 //	-k       comma-separated k sweep for fig1/fig4/fig5
 //	-quick   tiny datasets and budgets (smoke test, seconds)
@@ -54,8 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 2020, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
 	ks := flag.String("k", "", "comma-separated k sweep (overrides default)")
-	estimator := flag.String("estimator", "exact", "coverage backend: exact or hll")
-	sketchP := flag.Int("sketch-p", 0, "HLL register exponent p in [4,16] (0 = default)")
 	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	quick := flag.Bool("quick", false, "tiny smoke-test configuration")
 	tracePath := flag.String("trace", "", "write the JSON run report to this file")
@@ -76,18 +71,11 @@ func main() {
 	cfg.Eps = *eps
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	est, err := subsim.ParseEstimator(*estimator)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
-		os.Exit(2)
-	}
 	bnd, err := subsim.ParseBound(*bound)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
 		os.Exit(2)
 	}
-	cfg.Estimator = est
-	cfg.SketchPrecision = *sketchP
 	cfg.Bound = bnd
 	// Oversubscribed workers measure goroutine-partitioning overhead, not
 	// parallel speedup — the trap that poisoned the early W>1 rows of
@@ -143,7 +131,6 @@ func main() {
 		tr.SetMeta("scale", *scale)
 		tr.SetMeta("eps", *eps)
 		tr.SetMeta("seed", *seed)
-		tr.SetMeta("estimator", est.String())
 		tr.SetMeta("bound", bnd.String())
 		cfg.Tracer = tr
 	}

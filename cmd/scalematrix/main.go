@@ -15,9 +15,6 @@
 //	             attachment, er = Erdős–Rényi with m = N·D edges); WC
 //	             weights
 //	-gens        comma-separated generators: subsim, vanilla, bucketed
-//	-estimators  comma-separated coverage estimator backends: exact
-//	             (sharded CSR inverted index, one shard per worker),
-//	             hll (register-array sketch)
 //	-workers     comma-separated worker counts (must include 1, the
 //	             speedup baseline)
 //	-trials      trials per cell; the median of each phase wins
@@ -142,12 +139,11 @@ func newGenerator(name string, g *graph.Graph) (rrset.Generator, error) {
 // the full pipeline (generate → delta CSR build → select) at
 // one worker count.
 type cell struct {
-	Graph     string           `json:"graph"`
-	Gen       string           `json:"gen"`
-	Estimator string           `json:"estimator"`
-	Workers   int              `json:"workers"`
-	Trials    int              `json:"trials"`
-	PhaseNS   map[string]int64 `json:"phase_ns"`
+	Graph   string           `json:"graph"`
+	Gen     string           `json:"gen"`
+	Workers int              `json:"workers"`
+	Trials  int              `json:"trials"`
+	PhaseNS map[string]int64 `json:"phase_ns"`
 	// Timeline is the last trial's execution-timeline digest: records
 	// per phase, busy/covered/serial-gap ns, per-worker skew.
 	Timeline *timeline.Summary `json:"timeline,omitempty"`
@@ -166,12 +162,11 @@ type point struct {
 
 // curve is one phase's scaling behaviour across the worker sweep.
 type curve struct {
-	Graph     string  `json:"graph"`
-	Gen       string  `json:"gen"`
-	Estimator string  `json:"estimator"`
-	Phase     string  `json:"phase"`
-	T1NS      int64   `json:"t1_ns"`
-	Points    []point `json:"points"`
+	Graph  string  `json:"graph"`
+	Gen    string  `json:"gen"`
+	Phase  string  `json:"phase"`
+	T1NS   int64   `json:"t1_ns"`
+	Points []point `json:"points"`
 	// AmdahlSerialFrac is the least-squares serial fraction s of
 	// T_W = T_1·(s + (1-s)/W) fitted over the W>1 points, clamped to
 	// [0,1]; -1 when the sweep has no W>1 point to fit.
@@ -198,7 +193,6 @@ func main() {
 	var (
 		graphsFlag  = flag.String("graphs", "pa:20000x8", "comma-separated graph specs type:NxD (pa, er)")
 		gensFlag    = flag.String("gens", "subsim", "comma-separated generators: subsim, vanilla, bucketed")
-		estFlag     = flag.String("estimators", "exact", "comma-separated coverage estimator backends: exact, hll")
 		workersFlag = flag.String("workers", "1,2,4,8", "comma-separated worker counts (must include 1)")
 		trials      = flag.Int("trials", 3, "trials per cell (median wins)")
 		sets        = flag.Int("sets", 20000, "RR sets generated per trial")
@@ -214,14 +208,14 @@ func main() {
 		stallWindow = flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
 	)
 	flag.Parse()
-	if err := run(*graphsFlag, *gensFlag, *estFlag, *workersFlag, *trials, *sets, *rounds, *k, *seed,
+	if err := run(*graphsFlag, *gensFlag, *workersFlag, *trials, *sets, *rounds, *k, *seed,
 		*jsonPath, *benchFile, *benchLabel, *reportPath, *tracePath, *flightDir, *stallWindow); err != nil {
 		fmt.Fprintln(os.Stderr, "scalematrix:", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds, k int, seed uint64,
+func run(graphsFlag, gensFlag, workersFlag string, trials, sets, rounds, k int, seed uint64,
 	jsonPath, benchFile, benchLabel, reportPath, tracePath, flightDir string, stallWindow time.Duration) error {
 	var specs []graphSpec
 	for _, s := range strings.Split(graphsFlag, ",") {
@@ -234,14 +228,6 @@ func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds
 	gens := strings.Split(gensFlag, ",")
 	for i := range gens {
 		gens[i] = strings.TrimSpace(gens[i])
-	}
-	var estimators []coverage.EstimatorKind
-	for _, s := range strings.Split(estFlag, ",") {
-		kind, err := coverage.ParseEstimator(strings.TrimSpace(s))
-		if err != nil {
-			return err
-		}
-		estimators = append(estimators, kind)
 	}
 	var workerSweep []int
 	for _, s := range strings.Split(workersFlag, ",") {
@@ -274,7 +260,6 @@ func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds
 	matrixTr.SetMeta("tool", "scalematrix")
 	matrixTr.SetMeta("gomaxprocs", procs)
 	matrixTr.SetMeta("workers", workersFlag)
-	matrixTr.SetMeta("estimators", estFlag)
 	if caveat != "" {
 		matrixTr.SetMeta("caveat", caveat)
 	}
@@ -303,7 +288,7 @@ func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds
 
 	doc := resultDoc{
 		Schema:        "subsim.scalematrix",
-		SchemaVersion: 1,
+		SchemaVersion: 2,
 		Recorded:      time.Now().UTC().Format(time.RFC3339),
 		GoVersion:     runtime.Version(),
 		GOMAXPROCS:    procs,
@@ -321,30 +306,28 @@ func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds
 			return err
 		}
 		for _, genName := range gens {
-			for _, estKind := range estimators {
-				var baseline *cell
-				for _, w := range workerSweep {
-					span := matrixTr.Span(fmt.Sprintf("cell-%s-%s-%s-W%d", spec, genName, estKind, w))
-					c, snap, err := runCell(g, spec, genName, estKind, w, trials, sets, rounds, k, seed)
-					if err != nil {
-						return err
-					}
-					traceSnap = snap
-					span.SetInt("workers", int64(w)).SetInt("total_ns", c.PhaseNS["total"])
-					span.End()
-					if w == 1 {
-						baseline = &c
-					} else if baseline != nil && !equalSeeds(baseline.seeds, c.seeds) {
-						return fmt.Errorf("worker-independence violated: %s/%s/%s W=%d selected different seeds than W=1",
-							spec, genName, estKind, w)
-					}
-					doc.Cells = append(doc.Cells, c)
-					fmt.Fprintf(os.Stderr, "scalematrix: %s %s %s W=%d done (total %s)\n",
-						spec, genName, estKind, w, time.Duration(c.PhaseNS["total"]))
+			var baseline *cell
+			for _, w := range workerSweep {
+				span := matrixTr.Span(fmt.Sprintf("cell-%s-%s-W%d", spec, genName, w))
+				c, snap, err := runCell(g, spec, genName, w, trials, sets, rounds, k, seed)
+				if err != nil {
+					return err
 				}
-				doc.Curves = append(doc.Curves, buildCurves(spec.String(), genName, estKind.String(),
-					cellsFor(doc.Cells, spec.String(), genName, estKind.String()))...)
+				traceSnap = snap
+				span.SetInt("workers", int64(w)).SetInt("total_ns", c.PhaseNS["total"])
+				span.End()
+				if w == 1 {
+					baseline = &c
+				} else if baseline != nil && !equalSeeds(baseline.seeds, c.seeds) {
+					return fmt.Errorf("worker-independence violated: %s/%s W=%d selected different seeds than W=1",
+						spec, genName, w)
+				}
+				doc.Cells = append(doc.Cells, c)
+				fmt.Fprintf(os.Stderr, "scalematrix: %s %s W=%d done (total %s)\n",
+					spec, genName, w, time.Duration(c.PhaseNS["total"]))
 			}
+			doc.Curves = append(doc.Curves, buildCurves(spec.String(), genName,
+				cellsFor(doc.Cells, spec.String(), genName))...)
 		}
 	}
 
@@ -398,15 +381,14 @@ func run(graphsFlag, gensFlag, estFlag, workersFlag string, trials, sets, rounds
 // timeline snapshot (for -trace export). Every trial runs with a fresh
 // tracer + timeline, so the cell's timeline digest reflects exactly one
 // pipeline pass.
-func runCell(g *graph.Graph, spec graphSpec, genName string, estKind coverage.EstimatorKind,
+func runCell(g *graph.Graph, spec graphSpec, genName string,
 	workers, trials, sets, rounds, k int, seed uint64) (cell, timeline.Snapshot, error) {
 	c := cell{
-		Graph:     spec.String(),
-		Gen:       genName,
-		Estimator: estKind.String(),
-		Workers:   workers,
-		Trials:    trials,
-		PhaseNS:   make(map[string]int64, len(phaseNames)),
+		Graph:   spec.String(),
+		Gen:     genName,
+		Workers: workers,
+		Trials:  trials,
+		PhaseNS: make(map[string]int64, len(phaseNames)),
 	}
 	samples := make(map[string][]int64, len(phaseNames))
 	var lastSnap timeline.Snapshot
@@ -419,7 +401,7 @@ func runCell(g *graph.Graph, spec graphSpec, genName string, estKind coverage.Es
 			return cell{}, timeline.Snapshot{}, err
 		}
 		b := im.NewInstrumentedBatcher(gen, seed, workers, m)
-		idx := im.NewEstimator(g.N(), nil, im.Options{Workers: workers, Estimator: estKind}, m)
+		idx := im.NewIndex(g.N(), nil, im.Options{Workers: workers}, m)
 
 		perRound := sets / rounds
 		var genNS, buildNS, selNS int64
@@ -480,12 +462,12 @@ func medianInt64(v []int64) int64 {
 	return s[len(s)/2]
 }
 
-// cellsFor filters the accumulated cells down to one (graph, gen,
-// estimator) triple, ascending by worker count.
-func cellsFor(cells []cell, graphName, genName, estName string) []cell {
+// cellsFor filters the accumulated cells down to one (graph, gen) pair,
+// ascending by worker count.
+func cellsFor(cells []cell, graphName, genName string) []cell {
 	var out []cell
 	for _, c := range cells {
-		if c.Graph == graphName && c.Gen == genName && c.Estimator == estName {
+		if c.Graph == graphName && c.Gen == genName {
 			out = append(out, c)
 		}
 	}
@@ -495,13 +477,13 @@ func cellsFor(cells []cell, graphName, genName, estName string) []cell {
 
 // buildCurves turns one (graph, gen) worker sweep into per-phase scaling
 // curves with speedup, efficiency and the Amdahl fit.
-func buildCurves(graphName, genName, estName string, cells []cell) []curve {
+func buildCurves(graphName, genName string, cells []cell) []curve {
 	if len(cells) == 0 {
 		return nil
 	}
 	var curves []curve
 	for _, phase := range phaseNames {
-		cv := curve{Graph: graphName, Gen: genName, Estimator: estName, Phase: phase, AmdahlSerialFrac: -1}
+		cv := curve{Graph: graphName, Gen: genName, Phase: phase, AmdahlSerialFrac: -1}
 		t1 := cells[0].PhaseNS[phase] // cells ascend by W and include W=1
 		cv.T1NS = t1
 		for _, c := range cells {
@@ -565,7 +547,7 @@ func printMarkdown(w *os.File, doc *resultDoc) {
 		fmt.Fprintln(w, "(empty matrix)")
 		return
 	}
-	fmt.Fprint(w, "| graph | generator | estimator | phase | T(W=1) |")
+	fmt.Fprint(w, "| graph | generator | phase | T(W=1) |")
 	for _, p := range doc.Curves[0].Points {
 		if p.Workers == 1 {
 			continue
@@ -573,7 +555,7 @@ func printMarkdown(w *os.File, doc *resultDoc) {
 		fmt.Fprintf(w, " W=%d speedup (eff) |", p.Workers)
 	}
 	fmt.Fprintln(w, " Amdahl s |")
-	fmt.Fprint(w, "|---|---|---|---|---|")
+	fmt.Fprint(w, "|---|---|---|---|")
 	for _, p := range doc.Curves[0].Points {
 		if p.Workers == 1 {
 			continue
@@ -582,7 +564,7 @@ func printMarkdown(w *os.File, doc *resultDoc) {
 	}
 	fmt.Fprintln(w, "---|")
 	for _, cv := range doc.Curves {
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %s |", cv.Graph, cv.Gen, cv.Estimator, cv.Phase, time.Duration(cv.T1NS))
+		fmt.Fprintf(w, "| %s | %s | %s | %s |", cv.Graph, cv.Gen, cv.Phase, time.Duration(cv.T1NS))
 		for _, p := range cv.Points {
 			if p.Workers == 1 {
 				continue
@@ -632,14 +614,9 @@ type benchJSONFile struct {
 }
 
 // benchName renders one matrix point as a benchmark row name, e.g.
-// BenchmarkScaleMatrix_pa20000x8_subsim_generate_W4. Exact-backend rows
-// keep the historic names so recorded baselines stay comparable; other
-// estimators get their own name fragment.
-func benchName(graphSafe, gen, est, phase string, workers int) string {
+// BenchmarkScaleMatrix_pa20000x8_subsim_generate_W4.
+func benchName(graphSafe, gen, phase string, workers int) string {
 	phase = strings.ReplaceAll(phase, "-", "")
-	if est != "" && est != "exact" {
-		gen = gen + "_" + est
-	}
 	return fmt.Sprintf("BenchmarkScaleMatrix_%s_%s_%s_W%d", graphSafe, gen, phase, workers)
 }
 
@@ -672,10 +649,10 @@ func recordBench(path, label, caveat string, doc *resultDoc) error {
 					"efficiency": p.Efficiency,
 				}
 			}
-			bms[benchName(safe, cv.Gen, cv.Estimator, cv.Phase, p.Workers)] = m
+			bms[benchName(safe, cv.Gen, cv.Phase, p.Workers)] = m
 		}
 		if cv.AmdahlSerialFrac >= 0 {
-			bms[benchName(safe, cv.Gen, cv.Estimator, cv.Phase, 0)+"_Amdahl"] = benchMetrics{
+			bms[benchName(safe, cv.Gen, cv.Phase, 0)+"_Amdahl"] = benchMetrics{
 				NsOp:  float64(cv.T1NS),
 				Extra: map[string]float64{"amdahl_serial_frac": cv.AmdahlSerialFrac},
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -85,15 +84,15 @@ func TestMedianInt64(t *testing.T) {
 
 func TestBuildCurves(t *testing.T) {
 	cells := []cell{
-		{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 2, PhaseNS: map[string]int64{
+		{Graph: "pa:100x4", Gen: "subsim", Workers: 2, PhaseNS: map[string]int64{
 			"generate": 600, "index-build": 100, "select": 100, "total": 800}},
-		{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 1, PhaseNS: map[string]int64{
+		{Graph: "pa:100x4", Gen: "subsim", Workers: 1, PhaseNS: map[string]int64{
 			"generate": 1000, "index-build": 100, "select": 100, "total": 1200}},
-		// A foreign-estimator cell must be filtered out of the sweep.
-		{Graph: "pa:100x4", Gen: "subsim", Estimator: "hll", Workers: 1, PhaseNS: map[string]int64{
+		// A foreign-generator cell must be filtered out of the sweep.
+		{Graph: "pa:100x4", Gen: "vanilla", Workers: 1, PhaseNS: map[string]int64{
 			"generate": 1, "index-build": 1, "select": 1, "total": 4}},
 	}
-	curves := buildCurves("pa:100x4", "subsim", "exact", cellsFor(cells, "pa:100x4", "subsim", "exact"))
+	curves := buildCurves("pa:100x4", "subsim", cellsFor(cells, "pa:100x4", "subsim"))
 	if len(curves) != len(phaseNames) {
 		t.Fatalf("got %d curves, want %d", len(curves), len(phaseNames))
 	}
@@ -117,16 +116,9 @@ func TestBuildCurves(t *testing.T) {
 }
 
 func TestBenchName(t *testing.T) {
-	// Exact rows keep the historic names so recorded baselines compare.
-	for _, est := range []string{"", "exact"} {
-		got := benchName("pa2000x4", "subsim", est, "index-build", 4)
-		want := "BenchmarkScaleMatrix_pa2000x4_subsim_indexbuild_W4"
-		if got != want {
-			t.Errorf("benchName(est=%q) = %q, want %q", est, got, want)
-		}
-	}
-	got := benchName("pa2000x4", "subsim", "hll", "index-build", 4)
-	want := "BenchmarkScaleMatrix_pa2000x4_subsim_hll_indexbuild_W4"
+	// The historic row names, so recorded baselines compare.
+	got := benchName("pa2000x4", "subsim", "index-build", 4)
+	want := "BenchmarkScaleMatrix_pa2000x4_subsim_indexbuild_W4"
 	if got != want {
 		t.Errorf("benchName = %q, want %q", got, want)
 	}
@@ -142,10 +134,10 @@ func TestRecordBench(t *testing.T) {
 	doc := &resultDoc{
 		Recorded:  "2026-01-01T00:00:00Z",
 		GoVersion: "go1.24.0",
-		Curves: buildCurves("pa:100x4", "subsim", "exact", []cell{
-			{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 1, PhaseNS: map[string]int64{
+		Curves: buildCurves("pa:100x4", "subsim", []cell{
+			{Graph: "pa:100x4", Gen: "subsim", Workers: 1, PhaseNS: map[string]int64{
 				"generate": 1000, "index-build": 10, "select": 10, "total": 1030}},
-			{Graph: "pa:100x4", Gen: "subsim", Estimator: "exact", Workers: 2, PhaseNS: map[string]int64{
+			{Graph: "pa:100x4", Gen: "subsim", Workers: 2, PhaseNS: map[string]int64{
 				"generate": 600, "index-build": 10, "select": 10, "total": 630}},
 		}),
 	}
@@ -198,19 +190,14 @@ func TestRecordBench(t *testing.T) {
 
 // TestRunTinyMatrix drives the full pipeline end to end on a tiny matrix
 // and checks the artifacts: schema-stamped JSON with timeline digests,
-// valid curves, the worker-independence assertion passing, a Perfetto
-// trace for the last cell, and the removed "sharded" backend rejected.
+// valid curves, the worker-independence assertion passing, and a
+// Perfetto trace for the last cell.
 func TestRunTinyMatrix(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "matrix.json")
 	reportPath := filepath.Join(dir, "report.json")
 	tracePath := filepath.Join(dir, "trace.json")
-	err := run("pa:500x4", "subsim", "exact,sharded", "1,2", 1, 600, 2, 5, 7,
-		"", "", "", "", "", "", 0)
-	if err == nil || !strings.Contains(err.Error(), "exact|hll") {
-		t.Fatalf("-estimators exact,sharded: err = %v, want an unknown-estimator error naming exact|hll", err)
-	}
-	err = run("pa:500x4", "subsim", "exact,hll", "1,2", 1, 600, 2, 5, 7,
+	err := run("pa:500x4", "subsim,vanilla", "1,2", 1, 600, 2, 5, 7,
 		jsonPath, filepath.Join(dir, "bench.json"), "tiny", reportPath, tracePath, "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -223,25 +210,25 @@ func TestRunTinyMatrix(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != "subsim.scalematrix" || doc.SchemaVersion != 1 {
+	if doc.Schema != "subsim.scalematrix" || doc.SchemaVersion != 2 {
 		t.Fatalf("schema = %q v%d", doc.Schema, doc.SchemaVersion)
 	}
-	// 2 estimators × 2 worker counts.
+	// 2 generators × 2 worker counts.
 	if len(doc.Cells) != 4 {
 		t.Fatalf("got %d cells", len(doc.Cells))
 	}
-	perEst := map[string]int{}
+	perGen := map[string]int{}
 	for _, c := range doc.Cells {
-		perEst[c.Estimator]++
+		perGen[c.Gen]++
 		if c.Timeline == nil || c.Timeline.Records == 0 {
-			t.Errorf("cell %s W=%d: missing timeline digest", c.Estimator, c.Workers)
+			t.Errorf("cell %s W=%d: missing timeline digest", c.Gen, c.Workers)
 		}
 		if c.PhaseNS["total"] <= 0 {
-			t.Errorf("cell %s W=%d: no total time", c.Estimator, c.Workers)
+			t.Errorf("cell %s W=%d: no total time", c.Gen, c.Workers)
 		}
 	}
-	if perEst["exact"] != 2 || perEst["hll"] != 2 {
-		t.Fatalf("cells per estimator = %v", perEst)
+	if perGen["subsim"] != 2 || perGen["vanilla"] != 2 {
+		t.Fatalf("cells per generator = %v", perGen)
 	}
 	if len(doc.Curves) != 2*len(phaseNames) {
 		t.Fatalf("got %d curves", len(doc.Curves))

@@ -17,11 +17,10 @@
 //     (self-compare is clean) while the committed regressed fixture
 //     pair exits 1 (the gate actually fails on regressions),
 //  5. shut the run down and make sure the plane goes away with it,
-//  6. repeat a shortened pass with `-estimator hll -bound tight` and
-//     assert the plane reports the sketch backend (subsim_sketch_bytes
-//     > 0) and an ordered tightened budget (0 < theta_tight <=
-//     theta_worst), so the estimator dimension stays scrapeable
-//     end to end.
+//  6. repeat a shortened pass with `-bound tight` and assert the plane
+//     publishes an ordered tightened budget (0 < theta_tight <=
+//     theta_worst), so the bound dimension stays scrapeable end to
+//     end.
 //
 // It exits 0 on success, 1 on any assertion failure, 2 on usage/setup
 // errors. All scratch files live in a temp dir.
@@ -174,18 +173,17 @@ func smoke(t tools, dir, fixtures string, deadline time.Time) error {
 		return fmt.Errorf("plane still serving after imrun exit")
 	}
 
-	// 6. The estimator dimension: a second pass on the sketch backend
-	// with the tightened bound must keep the plane coherent.
-	return smokeSketch(t, graph, deadline)
+	// 6. The bound dimension: a second pass with the tightened bound
+	// must keep the plane coherent.
+	return smokeTight(t, graph, deadline)
 }
 
-// smokeSketch runs a shortened imrun pass with the HLL estimator and
-// tightened bound, asserting the plane identifies the sketch backend
-// and publishes ordered sample budgets.
-func smokeSketch(t tools, graph string, deadline time.Time) error {
+// smokeTight runs a shortened imrun pass with the tightened bound,
+// asserting the plane publishes ordered sample budgets.
+func smokeTight(t tools, graph string, deadline time.Time) error {
 	imrun := exec.Command(t.imrun,
 		"-graph", graph, "-alg", "opimc", "-k", "20", "-eps", "0.3",
-		"-estimator", "hll", "-bound", "tight",
+		"-bound", "tight",
 		"-mc", "0", "-repeat", "400", "-serve", "127.0.0.1:0",
 		"-flight-dir", filepath.Dir(graph))
 	stderr, err := imrun.StderrPipe()
@@ -194,7 +192,7 @@ func smokeSketch(t tools, graph string, deadline time.Time) error {
 	}
 	imrun.Stdout = io.Discard
 	if err := imrun.Start(); err != nil {
-		return fmt.Errorf("start sketch imrun: %v", err)
+		return fmt.Errorf("start tight imrun: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- imrun.Wait() }()
@@ -211,36 +209,33 @@ func smokeSketch(t tools, graph string, deadline time.Time) error {
 	if err := waitReady(base, deadline); err != nil {
 		return err
 	}
-	// The gauges are published once the first run sizes its sketch, so
-	// poll until subsim_sketch_bytes turns nonzero, then check the
-	// budget ordering from the same scrape.
+	// The budgets are published once the first run computes them
+	// (theta_tight before theta_worst), so poll until
+	// subsim_theta_worst turns nonzero, then check the ordering from the
+	// same scrape.
 	for time.Now().Before(deadline) {
 		body, err := get(base+"/metrics", http.StatusOK)
 		if err != nil {
 			return err
 		}
-		sketchBytes, err := scrapeCounter(body, "subsim_sketch_bytes")
-		if err != nil {
-			return err
-		}
-		if sketchBytes == 0 {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
 		worst, err := scrapeCounter(body, "subsim_theta_worst")
 		if err != nil {
 			return err
+		}
+		if worst == 0 {
+			time.Sleep(20 * time.Millisecond)
+			continue
 		}
 		tight, err := scrapeCounter(body, "subsim_theta_tight")
 		if err != nil {
 			return err
 		}
 		if tight < 1 || tight > worst {
-			return fmt.Errorf("sketch pass budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
+			return fmt.Errorf("tight pass budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
 		}
 		return nil
 	}
-	return fmt.Errorf("sketch pass never published subsim_sketch_bytes > 0")
+	return fmt.Errorf("tight pass never published subsim_theta_worst > 0")
 }
 
 // scanServeAddr reads imrun's stderr until the "serving telemetry on

@@ -161,7 +161,7 @@ func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, del
 
 	b1 := im.NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, opt.Tracer.Metrics())
 	outDeg := outDegrees(g)
-	idx1 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
+	idx1 := im.NewIndex(n, outDeg, opt, opt.Tracer.Metrics())
 
 	rep := phase1Report{}
 	theta := theta0
@@ -271,8 +271,8 @@ func imSentinel(gen rrset.Generator, opt im.Options, phase *obs.Span, sb []int32
 
 	batch := im.NewInstrumentedBatcher(gen, opt.Seed+1, opt.Workers, opt.Tracer.Metrics())
 	outDeg := outDegrees(g)
-	idx1 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
-	idx2 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
+	idx1 := im.NewIndex(n, outDeg, opt, opt.Tracer.Metrics())
+	idx2 := im.NewIndex(n, outDeg, opt, opt.Tracer.Metrics())
 
 	res := &im.Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
 	opt.Tracer.Metrics().SetTheta(thetaWorst, thetaTight)

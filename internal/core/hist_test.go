@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"subsim/internal/coverage"
 	"subsim/internal/diffusion"
 	"subsim/internal/graph"
 	"subsim/internal/im"
@@ -225,13 +224,11 @@ func TestMarkSentinels(t *testing.T) {
 	}
 }
 
-// TestHISTSketchBackend smokes the full HIST pipeline (sentinel
-// selection + IM-sentinel phase) against the HLL estimator and the
-// tightened sample-complexity bound.
-func TestHISTSketchBackend(t *testing.T) {
+// TestHISTTightBound smokes the full HIST pipeline (sentinel selection
+// + IM-sentinel phase) under the tightened sample-complexity bound.
+func TestHISTTightBound(t *testing.T) {
 	g := highInfluenceGraph(t, 1500)
-	opt := im.Options{K: 20, Eps: 0.25, Seed: 5, Workers: 2,
-		Estimator: coverage.EstimatorHLL, Bound: im.BoundTight}
+	opt := im.Options{K: 20, Eps: 0.25, Seed: 5, Workers: 2, Bound: im.BoundTight}
 	res, err := HIST(rrset.NewSubsim(g), opt)
 	if err != nil {
 		t.Fatal(err)

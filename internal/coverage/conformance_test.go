@@ -1,71 +1,30 @@
 package coverage
 
 import (
-	"math"
 	"testing"
 
 	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
 
-// Compile-time: every backend satisfies the Estimator contract.
-var (
-	_ Estimator = (*Index)(nil)
-	_ Estimator = (*HLL)(nil)
-)
-
-// estimatorCase is one backend under conformance test. tol(want)
-// returns the absolute slack allowed on a count query whose true value
-// is want: zero for the exact backends, RelError-scaled (with a small
-// additive floor for tiny counts) for sketches.
-type estimatorCase struct {
-	name string
-	make func(n int, outDeg []int32) Estimator
-	kind EstimatorKind
-	tol  func(e Estimator, want int64) int64
+// conformanceCases enumerates the exact index at one shard and at
+// three. Three shards differs from every tested worker count, so any
+// accidental shard/worker coupling would show up.
+func conformanceCases() []struct {
+	name   string
+	shards int
+} {
+	return []struct {
+		name   string
+		shards int
+	}{{"exact", 1}, {"sharded", 3}}
 }
 
-func exactTol(Estimator, int64) int64 { return 0 }
-
-func sketchTol(e Estimator, want int64) int64 {
-	// 6 standard errors plus a floor of 4: deterministic inputs make the
-	// check reproducible, the generous band keeps it honest about what
-	// the backend certifies rather than tuned to one RNG stream.
-	return int64(math.Ceil(6*e.RelError()*float64(want))) + 4
-}
-
-// conformanceCases enumerates the two coverage backends, the exact one
-// at one shard and at three. Three shards differs from every tested
-// worker count, so any accidental shard/worker coupling would show up.
-func conformanceCases() []estimatorCase {
-	return []estimatorCase{
-		{
-			name: "exact",
-			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg, 1) },
-			kind: EstimatorExact,
-			tol:  exactTol,
-		},
-		{
-			name: "hll",
-			make: func(n int, outDeg []int32) Estimator { return NewHLL(n, outDeg, 0) },
-			kind: EstimatorHLL,
-			tol:  sketchTol,
-		},
-		{
-			name: "sharded",
-			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg, 3) },
-			kind: EstimatorExact,
-			tol:  exactTol,
-		},
-	}
-}
-
-// TestEstimatorConformance drives every backend through the same
-// append/query schedule and checks the whole interface contract:
-// bookkeeping (N, NumSets, Kind, RelError, MemoryBytes, Workers clamp),
-// count accuracy against brute force within the backend's certified
-// tolerance, sentinel handling on the batch ingestion path, and greedy
-// selection quality.
+// TestEstimatorConformance drives the index at each shard count through
+// the same append/query schedule and checks the Estimator contract:
+// bookkeeping (N, NumSets, MemoryBytes, Workers clamp), exact counts
+// against brute force, and greedy selection identical to the one-shard
+// reference.
 func TestEstimatorConformance(t *testing.T) {
 	const n = 120
 	r := rng.New(17)
@@ -78,15 +37,9 @@ func TestEstimatorConformance(t *testing.T) {
 
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.make(n, outDeg)
+			e := NewIndex(n, outDeg, tc.shards)
 			if e.N() != n {
 				t.Fatalf("N() = %d, want %d", e.N(), n)
-			}
-			if k, err := ParseEstimator(e.Kind().String()); e.Kind() != tc.kind || err != nil || k != tc.kind {
-				t.Fatalf("Kind() = %v (%q), want %v", e.Kind(), e.Kind().String(), tc.kind)
-			}
-			if re := e.RelError(); re < 0 || (tc.tol(e, 1000) == 0) != (re == 0) {
-				t.Fatalf("RelError() = %g inconsistent with tolerance model", re)
 			}
 			e.SetWorkers(0)
 			if e.Workers() != 1 {
@@ -108,50 +61,42 @@ func TestEstimatorConformance(t *testing.T) {
 			for v := int32(0); v < n; v++ {
 				want := bruteCoverage(sets, []int32{v})
 				got := int64(e.Degree(v))
-				if d := got - want; d < -tc.tol(e, want) || d > tc.tol(e, want) {
-					t.Fatalf("Degree(%d) = %d, want %d ± %d", v, got, want, tc.tol(e, want))
+				if got != want {
+					t.Fatalf("Degree(%d) = %d, want %d", v, got, want)
 				}
 			}
 			for _, seeds := range [][]int32{{0}, {3, 50, 90}, {1, 2, 3, 4, 5, 6, 7, 8}} {
 				want := bruteCoverage(sets, seeds)
 				got := e.CoverageOf(seeds)
-				if d := got - want; d < -tc.tol(e, want) || d > tc.tol(e, want) {
-					t.Fatalf("CoverageOf(%v) = %d, want %d ± %d", seeds, got, want, tc.tol(e, want))
+				if got != want {
+					t.Fatalf("CoverageOf(%v) = %d, want %d", seeds, got, want)
 				}
 			}
 			if e.MemoryBytes() <= 0 {
 				t.Fatal("MemoryBytes() not positive on a loaded estimator")
 			}
 
-			// Greedy quality: the true (brute-force) coverage of the picked
-			// seeds must be within 10% of the exact backend's pick — exact
-			// backends match it exactly, the sketch may trade a little.
+			// Greedy selection: every shard count picks exactly what the
+			// one-shard reference picks, with the same Λᵘ.
 			res := e.SelectSeeds(GreedyOptions{K: 8})
-			if len(res.Seeds) != 8 {
-				t.Fatalf("SelectSeeds returned %d seeds, want 8", len(res.Seeds))
+			if len(res.Seeds) != len(exactRes.Seeds) {
+				t.Fatalf("SelectSeeds returned %d seeds, want %d", len(res.Seeds), len(exactRes.Seeds))
 			}
-			got := bruteCoverage(sets, res.Seeds)
-			want := bruteCoverage(sets, exactRes.Seeds)
-			if float64(got) < 0.9*float64(want) {
-				t.Fatalf("greedy quality: picked coverage %d < 90%% of exact's %d", got, want)
+			for i := range exactRes.Seeds {
+				if res.Seeds[i] != exactRes.Seeds[i] || res.Coverage[i] != exactRes.Coverage[i] {
+					t.Fatalf("pick %d = (%d,%d), reference (%d,%d)",
+						i, res.Seeds[i], res.Coverage[i], exactRes.Seeds[i], exactRes.Coverage[i])
+				}
 			}
-			if e.RelError() == 0 {
-				for i := range exactRes.Seeds {
-					if res.Seeds[i] != exactRes.Seeds[i] || res.Coverage[i] != exactRes.Coverage[i] {
-						t.Fatalf("exact-class backend diverged from Index at pick %d: (%d,%d) vs (%d,%d)",
-							i, res.Seeds[i], res.Coverage[i], exactRes.Seeds[i], exactRes.Coverage[i])
-					}
-				}
-				if res.CoverageUpper != exactRes.CoverageUpper {
-					t.Fatalf("exact-class upper bound %d, want %d", res.CoverageUpper, exactRes.CoverageUpper)
-				}
+			if res.CoverageUpper != exactRes.CoverageUpper {
+				t.Fatalf("upper bound %d, want %d", res.CoverageUpper, exactRes.CoverageUpper)
 			}
 		})
 	}
 }
 
-// TestEstimatorConformanceWorkerIndependence pins the repo invariant on
-// every backend at once: the worker bound must never change a single
+// TestEstimatorConformanceWorkerIndependence pins the repo invariant at
+// each shard count: the worker bound must never change a single
 // query answer or pick, including with the parallel paths forced onto
 // the small test input.
 func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
@@ -171,7 +116,7 @@ func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
 			}
 			var base *answers
 			for _, w := range []int{1, 2, 8} {
-				e := tc.make(n, nil)
+				e := NewIndex(n, nil, tc.shards)
 				e.SetWorkers(w)
 				for _, s := range sets {
 					e.Add(rrset.RRSet(s))
@@ -208,8 +153,8 @@ func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestEstimatorConformanceAbsorbArena checks the batch ingestion path on
-// every backend: sentinel-terminated sets are skipped and counted, and
+// TestEstimatorConformanceAbsorbArena checks the batch ingestion path at
+// each shard count: sentinel-terminated sets are skipped and counted, and
 // the surviving collection answers like one built from per-set Adds.
 func TestEstimatorConformanceAbsorbArena(t *testing.T) {
 	const n = 10
@@ -221,14 +166,14 @@ func TestEstimatorConformanceAbsorbArena(t *testing.T) {
 
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.make(n, nil)
+			e := NewIndex(n, nil, tc.shards)
 			if hits := e.AbsorbArena(data, ends, sentinel); hits != 2 {
 				t.Fatalf("hits = %d, want 2", hits)
 			}
 			if e.NumSets() != len(kept) {
 				t.Fatalf("NumSets = %d, want %d", e.NumSets(), len(kept))
 			}
-			ref := tc.make(n, nil)
+			ref := NewIndex(n, nil, tc.shards)
 			for _, s := range kept {
 				ref.Add(rrset.RRSet(s))
 			}
@@ -237,7 +182,7 @@ func TestEstimatorConformanceAbsorbArena(t *testing.T) {
 					t.Fatalf("Degree(%d) = %d, want %d (per-set reference)", v, got, want)
 				}
 			}
-			e2 := tc.make(n, nil)
+			e2 := NewIndex(n, nil, tc.shards)
 			if hits := e2.AbsorbArena(data, ends, nil); hits != 0 || e2.NumSets() != len(ends) {
 				t.Fatalf("nil sentinel: hits=%d sets=%d, want 0/%d", hits, e2.NumSets(), len(ends))
 			}

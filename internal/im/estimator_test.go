@@ -1,7 +1,6 @@
 package im
 
 import (
-	"math"
 	"testing"
 
 	"subsim/internal/coverage"
@@ -10,11 +9,11 @@ import (
 	"subsim/internal/rrset"
 )
 
-// TestFillDispatchesExact pins the estimator seam: Batcher.Fill through
-// the Estimator interface into an exact *coverage.Index with one shard
-// per worker must select the same seeds with the same bounds as the
-// one-worker, one-shard reference, for every generator kind and worker
-// count.
+// TestFillDispatchesExact pins the estimator seam: NewEstimator must
+// hand out the exact *coverage.Index, one shard per worker, and
+// Batcher.Fill into it must select the same seeds with the same bounds
+// as the one-worker, one-shard reference, for every generator kind and
+// worker count.
 func TestFillDispatchesExact(t *testing.T) {
 	const (
 		count = 1200
@@ -31,14 +30,16 @@ func TestFillDispatchesExact(t *testing.T) {
 			refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
 			for _, workers := range []int{1, 2, 8} {
 				b := NewBatcher(c.gen(), seed, workers)
-				idx := coverage.NewIndex(n, nil, workers)
-				idx.SetWorkers(workers)
-				var est coverage.Estimator = idx
-				if hits := b.Fill(est, count, nil); hits != 0 {
-					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
+				est := NewEstimator(n, nil, Options{Workers: workers}, nil)
+				idx, ok := est.(*coverage.Index)
+				if !ok {
+					t.Fatalf("workers=%d: NewEstimator returned %T, want *coverage.Index", workers, est)
 				}
-				if est.Kind() != coverage.EstimatorExact {
-					t.Fatalf("workers=%d: exact index reports kind %v", workers, est.Kind())
+				if idx.NumShards() != workers || idx.Workers() != workers {
+					t.Fatalf("workers=%d: index has %d shards, %d workers", workers, idx.NumShards(), idx.Workers())
+				}
+				if hits := b.Fill(idx, count, nil); hits != 0 {
+					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
 				sel := est.SelectSeeds(coverage.GreedyOptions{K: k})
 				if len(sel.Seeds) != len(refSel.Seeds) {
@@ -61,7 +62,7 @@ func TestFillDispatchesExact(t *testing.T) {
 }
 
 // estimatorTestGraph builds the property-test graph shared by the
-// backend-accuracy tests.
+// run-level bound tests.
 func estimatorTestGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := graph.GenPreferentialAttachment(1000, 5, false, rng.New(41))
@@ -72,11 +73,11 @@ func estimatorTestGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// runWith runs OPIM-C with the given estimator/bound configuration.
-func runWith(t *testing.T, g *graph.Graph, kind coverage.EstimatorKind, bound BoundKind, workers int) *Result {
+// runWith runs OPIM-C with the given bound and worker count.
+func runWith(t *testing.T, g *graph.Graph, bound BoundKind, workers int) *Result {
 	t.Helper()
 	res, err := OPIMC(rrset.NewSubsim(g), Options{
-		K: 10, Eps: 0.3, Seed: 13, Workers: workers, Estimator: kind, Bound: bound,
+		K: 10, Eps: 0.3, Seed: 13, Workers: workers, Bound: bound,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,76 +85,13 @@ func runWith(t *testing.T, g *graph.Graph, kind coverage.EstimatorKind, bound Bo
 	return res
 }
 
-// TestExactBackendUnchangedByOptions proves threading the estimator
-// options through leaves the default exact path bit-identical: an
-// explicit Estimator: EstimatorExact run matches the zero-value Options
-// run exactly, at every worker count.
-func TestExactBackendUnchangedByOptions(t *testing.T) {
-	g := estimatorTestGraph(t)
-	ref, err := OPIMC(rrset.NewSubsim(g), Options{K: 10, Eps: 0.3, Seed: 13, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		res := runWith(t, g, coverage.EstimatorExact, BoundIMM, workers)
-		if len(res.Seeds) != len(ref.Seeds) {
-			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
-		}
-		for i := range res.Seeds {
-			if res.Seeds[i] != ref.Seeds[i] {
-				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, res.Seeds[i], ref.Seeds[i])
-			}
-		}
-		if res.Influence != ref.Influence ||
-			res.LowerBound != ref.LowerBound || res.UpperBound != ref.UpperBound {
-			t.Fatalf("workers=%d: results diverged from the seed path: %+v vs %+v", workers, res, ref)
-		}
-		if res.RRStats != ref.RRStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, res.RRStats, ref.RRStats)
-		}
-	}
-}
-
-// TestSketchBackendAccuracy is the ε-accuracy property test of the HLL
-// backend: across worker counts the sketch run must be worker-
-// independent, and its influence estimate must land within the sketch's
-// certified relative error (with 4σ slack) of the exact backend's.
-func TestSketchBackendAccuracy(t *testing.T) {
-	g := estimatorTestGraph(t)
-	exact := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
-	relErr := coverage.NewHLL(1, nil, 0).RelError()
-
-	ref := runWith(t, g, coverage.EstimatorHLL, BoundIMM, 1)
-	if tol := 4 * relErr * exact.Influence; math.Abs(ref.Influence-exact.Influence) > tol+3 {
-		t.Fatalf("sketch influence %v vs exact %v exceeds tolerance %v",
-			ref.Influence, exact.Influence, tol)
-	}
-	if ref.LowerBound <= 0 || ref.UpperBound < ref.LowerBound {
-		t.Fatalf("sketch run certified nonsense bounds: %+v", ref)
-	}
-	for _, workers := range []int{2, 8} {
-		res := runWith(t, g, coverage.EstimatorHLL, BoundIMM, workers)
-		if len(res.Seeds) != len(ref.Seeds) {
-			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
-		}
-		for i := range res.Seeds {
-			if res.Seeds[i] != ref.Seeds[i] {
-				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, res.Seeds[i], ref.Seeds[i])
-			}
-		}
-		if res.Influence != ref.Influence {
-			t.Fatalf("workers=%d: influence %v, want %v", workers, res.Influence, ref.Influence)
-		}
-	}
-}
-
 // TestTightBoundSavesSamples runs the standard configuration under both
 // analyses: the tightened run must report θ_tight ≤ θ_worst, stay a
 // valid certified result, and both θs must be visible in the result.
 func TestTightBoundSavesSamples(t *testing.T) {
 	g := estimatorTestGraph(t)
-	worst := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
-	tight := runWith(t, g, coverage.EstimatorExact, BoundTight, 1)
+	worst := runWith(t, g, BoundIMM, 1)
+	tight := runWith(t, g, BoundTight, 1)
 	for name, res := range map[string]*Result{"worst": worst, "tight": tight} {
 		if res.ThetaWorstCase < 1 || res.ThetaTight < 1 {
 			t.Fatalf("%s run did not report both budgets: %+v", name, res)
@@ -173,13 +111,12 @@ func TestTightBoundSavesSamples(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsRunWithSketch smokes every algorithm chassis against the
-// HLL backend and the tightened bound: valid seeds, sane influence, and
-// both reported budgets ordered.
-func TestAlgorithmsRunWithSketch(t *testing.T) {
+// TestAlgorithmsRunWithTightBound smokes every algorithm chassis under
+// the tightened bound: valid seeds, sane influence, and both reported
+// budgets ordered.
+func TestAlgorithmsRunWithTightBound(t *testing.T) {
 	g := estimatorTestGraph(t)
-	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2,
-		Estimator: coverage.EstimatorHLL, Bound: BoundTight}
+	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2, Bound: BoundTight}
 	algs := map[string]func(rrset.Generator, Options) (*Result, error){
 		"opimc": OPIMC, "imm": IMM, "ssa": SSA, "timplus": TIMPlus,
 	}

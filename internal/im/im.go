@@ -43,16 +43,6 @@ type Options struct {
 	// selection. The baselines default to the classic greedy; HIST
 	// always enables it.
 	Revised bool
-	// Estimator selects the coverage backend: the exact sharded CSR
-	// index (the zero value, one shard per worker, bit-identical results
-	// for any worker count) or the HyperLogLog sketch backend
-	// (coverage.EstimatorHLL), which trades the backend's certified
-	// relative error for θ-independent memory.
-	Estimator coverage.EstimatorKind
-	// SketchPrecision is the HLL register-index width p (2^p registers
-	// per node); 0 defaults to coverage.HLLDefaultPrecision. Ignored by
-	// the exact backend.
-	SketchPrecision int
 	// Bound selects the sample-complexity analysis that caps θ:
 	// BoundIMM (the zero value) keeps the worst-case IMM/OPIM-C
 	// constants and historic behavior; BoundTight lets algorithms stop
@@ -176,12 +166,11 @@ type Result struct {
 // only decide how the per-index streams are partitioned.
 //
 // Fill generates straight into a coverage.Index's shard arenas, so a set
-// is written once, where the index reads it. Visit (and Fill into any
-// other estimator) generates into per-worker scratch arenas that own
-// contiguous global-index ranges in ascending worker order, so visiting
-// them worker by worker replays the sets in global-index order. Either
-// way the steady-state cost of a set is the traversal itself — no
-// per-set heap allocation.
+// is written once, where the index reads it. Visit generates into
+// per-worker scratch arenas that own contiguous global-index ranges in
+// ascending worker order, so visiting them worker by worker replays the
+// sets in global-index order. Either way the steady-state cost of a set
+// is the traversal itself — no per-set heap allocation.
 type Batcher struct {
 	workers []batchWorker
 	seed    uint64
@@ -449,42 +438,24 @@ func (b *Batcher) ResetStats() {
 	}
 }
 
-// Fill generates count RR sets and absorbs them into est. When sentinel
-// is non-nil, sets that terminated on a sentinel (i.e. contain one) are
-// NOT absorbed; instead the number of such hits is returned, matching
-// Algorithm 8 line 5 where covered-by-S_b sets are excluded from greedy.
+// Fill generates count RR sets into idx. When sentinel is non-nil, sets
+// that terminated on a sentinel (i.e. contain one) are NOT absorbed;
+// instead the number of such hits is returned, matching Algorithm 8
+// line 5 where covered-by-S_b sets are excluded from greedy.
 //
-// An exact *coverage.Index is filled in place: the set with global index
-// idx is generated straight into shard coverage.ShardOf(idx, shards),
-// lane l of min(workers, shards) lanes generating every shard s ≡ l
-// (mod lanes) with worker l's generator and RNG stream, and a
-// sentinel-terminated set is truncated in place (Arena.DropLast).
-// Placement is a pure function of (index, shard count) and never
-// depends on scheduling. Any other estimator consumes the per-worker
-// arenas through AbsorbArena in ascending worker order, which replays
-// the sets in global-index order. Every backend therefore sees the same
+// The set with global index i is generated straight into shard
+// coverage.ShardOf(i, shards), lane l of min(workers, shards) lanes
+// generating every shard s ≡ l (mod lanes) with worker l's generator
+// and RNG stream, and a sentinel-terminated set is truncated in place
+// (Arena.DropLast). Placement is a pure function of (index, shard
+// count) and never depends on scheduling, so the index holds the same
 // sets regardless of the worker count.
-func (b *Batcher) Fill(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
+//
+//subsim:parallel
+func (b *Batcher) Fill(idx *coverage.Index, count int, sentinel []bool) (hits int64) {
 	if count <= 0 {
 		return 0
 	}
-	if idx, ok := est.(*coverage.Index); ok {
-		return b.fillShards(idx, count, sentinel)
-	}
-	hGen := b.secGenerate.Enter()
-	used := b.fillArenas(count, sentinel)
-	hGen.Exit()
-	for w := 0; w < used; w++ {
-		a := &b.workers[w].arena
-		hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
-	}
-	return hits
-}
-
-// fillShards is Fill's in-place path into the shard arenas of idx.
-//
-//subsim:parallel
-func (b *Batcher) fillShards(idx *coverage.Index, count int, sentinel []bool) (hits int64) {
 	hGen := b.secGenerate.Enter()
 	idx.BeginFill()
 	first := b.next
@@ -565,21 +536,22 @@ func arenaLastHit(a *rrset.Arena, sentinel []bool) bool {
 	return len(set) > 0 && sentinel[set[len(set)-1]]
 }
 
-// NewEstimator constructs the coverage backend opt selects, wired to the
-// metric set (which may be nil): the exact index for
-// coverage.EstimatorExact, with one shard per worker so Batcher.Fill
-// generates every shard on its own lane, or the HLL sketch backend.
-// Worker bounds are inherited from opt.Workers. The shard count never
-// changes a result: every exact query is a sum over shards.
-func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage.Estimator {
-	if opt.Estimator == coverage.EstimatorHLL {
-		h := coverage.NewHLLObs(n, outDeg, opt.SketchPrecision, m)
-		h.SetWorkers(opt.Workers)
-		return h
-	}
+// NewIndex constructs the exact coverage index for a run, wired to the
+// metric set (which may be nil), with one shard per worker so
+// Batcher.Fill generates every shard on its own lane. Worker bounds are
+// inherited from opt.Workers. The shard count never changes a result:
+// every query is a sum over shards.
+func NewIndex(n int, outDeg []int32, opt Options, m *obs.MetricSet) *coverage.Index {
 	idx := coverage.NewIndexObs(n, outDeg, opt.Workers, m)
 	idx.SetWorkers(opt.Workers)
 	return idx
+}
+
+// NewEstimator is NewIndex behind the coverage.Estimator interface, for
+// callers that hold the index by its query surface; the perfbench
+// replay recovers the *coverage.Index from it.
+func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage.Estimator {
+	return NewIndex(n, outDeg, opt, m)
 }
 
 // outDegrees extracts the out-degree array used by the Revised-Greedy

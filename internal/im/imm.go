@@ -45,7 +45,7 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	if opt.Revised {
 		outDeg = outDegrees(gen)
 	}
-	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
+	idx := NewIndex(n, outDeg, opt, tr.Metrics())
 
 	res := &Result{}
 	lambdaPrime := bounds.IMMLambdaPrime(n, opt.K, epsPrime, l)

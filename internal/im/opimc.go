@@ -45,8 +45,8 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 	if opt.Revised {
 		outDeg = outDegrees(gen)
 	}
-	idx1 := NewEstimator(n, outDeg, opt, tr.Metrics())
-	idx2 := NewEstimator(n, outDeg, opt, tr.Metrics())
+	idx1 := NewIndex(n, outDeg, opt, tr.Metrics())
+	idx2 := NewIndex(n, outDeg, opt, tr.Metrics())
 
 	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
 	tr.Metrics().SetTheta(thetaWorst, thetaTight)

@@ -82,12 +82,12 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 // bounds, and merged RR stats — at every worker count.
 func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 	g := estimatorTestGraph(t)
-	ref := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
+	ref := runWith(t, g, BoundIMM, 1)
 	if ref.LowerBound <= 0 || ref.UpperBound <= 0 {
 		t.Fatalf("reference run certified no bounds: %+v", ref)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		res := runWith(t, g, coverage.EstimatorExact, BoundIMM, workers)
+		res := runWith(t, g, BoundIMM, workers)
 		if len(res.Seeds) != len(ref.Seeds) {
 			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
 		}

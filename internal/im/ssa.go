@@ -63,7 +63,7 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 	if opt.Revised {
 		outDeg = outDegrees(gen)
 	}
-	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
+	idx := NewIndex(n, outDeg, opt, tr.Metrics())
 
 	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
 	tr.Metrics().SetTheta(thetaWorst, thetaTight)

@@ -42,7 +42,7 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	if opt.Revised {
 		outDeg = outDegrees(gen)
 	}
-	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
+	idx := NewIndex(n, outDeg, opt, tr.Metrics())
 
 	// In-degrees for w(R).
 	inDeg := make([]int64, n)
@@ -110,7 +110,7 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	if limit := int64(4 * float64(n)); thetaPrime > limit {
 		thetaPrime = limit
 	}
-	fresh := NewEstimator(n, outDeg, opt, tr.Metrics())
+	fresh := NewIndex(n, outDeg, opt, tr.Metrics())
 	b.Fill(fresh, int(thetaPrime), nil)
 	covFresh := fresh.CoverageOf(selPrev.Seeds)
 	kptPrime := float64(covFresh) / float64(fresh.NumSets()) * float64(n) / (1 + epsPrime)

@@ -9,11 +9,11 @@ import (
 // GoCapture enforces the disjoint-write decomposition contract inside
 // functions annotated //subsim:parallel — the worker-partitioned fan-out
 // points of the pipeline (Batcher.Fill's shard lanes,
-// coverage.ensureIndexed, the SelectSeeds rounds, the HLL
-// AbsorbArena). Their correctness argument (DESIGN.md, "Exact coverage
-// engine") is that every goroutine writes only into ranges
-// derived from its own worker index, so output is byte-identical for
-// any worker count and no locks or atomics are needed. Nothing in the
+// coverage.ensureIndexed, the SelectSeeds rounds). Their correctness
+// argument (DESIGN.md, "Exact coverage engine") is that every goroutine
+// writes only into ranges derived from its own worker index, so output
+// is byte-identical for any worker count and no locks or atomics are
+// needed. Nothing in the
 // language enforces that: one write through a captured slice at a
 // shared index compiles, races, and — because the ranges usually still
 // overlap only rarely — survives `-race` runs probabilistically.

@@ -25,10 +25,6 @@ var trackedObsTypes = map[string]string{
 	"Histogram": "internal/obs",
 	"Timeline":  "internal/obs/timeline",
 	"Ring":      "internal/obs/timeline",
-	// The HLL sketch estimator follows the same contract: a nil *HLL is
-	// a valid "no sketch" value, so its exported methods must nil-check
-	// before touching the register file.
-	"HLL": "internal/coverage",
 	// The flight recorder extends the contract to the black box: a nil
 	// *Recorder/*Journal/*History/*Watchdog is the disabled instrument
 	// (journal off, no sampler, no watchdog), and a nil *Flight is a

@@ -253,10 +253,6 @@ type MetricSet struct {
 	Approx Gauge
 	Round  IntGauge
 
-	// SketchBytes is the resident size of the sketch coverage backend's
-	// register file (bytes); stays 0 on exact-CSR runs, so its presence
-	// in a report identifies the estimator that produced it.
-	SketchBytes IntGauge
 	// ThetaWorst and ThetaTight are the worst-case (IMM/OPIM-C) and
 	// tightened (Sadeh–Cohen–Kaplan style) RR sample budgets of the
 	// current run, published through SetTheta. ThetaSaved accumulates
@@ -377,13 +373,14 @@ func (m *MetricSet) SetBounds(round int, lower, upper, approx float64) {
 
 // SetTheta publishes the run's worst-case and tightened RR sample
 // budgets. Nil-safe, allocation-free: two atomic stores, plus a journal
-// event when a flight recorder is attached.
+// event when a flight recorder is attached. The tightened budget is
+// stored first, so a reader that sees ThetaWorst set also sees it.
 func (m *MetricSet) SetTheta(worst, tight int64) {
 	if m == nil {
 		return
 	}
-	m.ThetaWorst.Set(worst)
 	m.ThetaTight.Set(tight)
+	m.ThetaWorst.Set(worst)
 	m.flightRec.Load().Emit(flight.KindTheta, "", worst, tight, 0, 0, 0)
 }
 

@@ -40,7 +40,6 @@ func (m *MetricSet) WritePrometheus(w io.Writer) error {
 		{"subsim_bound_upper", "Live certified optimum upper bound (Eq. 2).", m.Upper.Load()},
 		{"subsim_bound_approx", "Live certified approximation ratio (lower/upper).", m.Approx.Load()},
 		{"subsim_round", "Doubling round of the latest bound-check.", float64(m.Round.Load())},
-		{"subsim_sketch_bytes", "Resident bytes of the HLL sketch register file (0 = exact backend).", float64(m.SketchBytes.Load())},
 		{"subsim_theta_worst", "Worst-case RR sample budget (IMM/OPIM-C analysis).", float64(m.ThetaWorst.Load())},
 		{"subsim_theta_tight", "Tightened RR sample budget (Sadeh-Cohen-Kaplan analysis).", float64(m.ThetaTight.Load())},
 	}

@@ -39,7 +39,6 @@ import (
 	"os"
 
 	"subsim/internal/core"
-	"subsim/internal/coverage"
 	"subsim/internal/diffusion"
 	"subsim/internal/graph"
 	"subsim/internal/heuristics"
@@ -83,26 +82,6 @@ type Options = im.Options
 // Result.Report carries the observability run report when a Tracer was
 // attached.
 type Result = im.Result
-
-// EstimatorKind selects the coverage backend via Options.Estimator: the
-// exact engine (the zero value) — RR sets kept in one shard per worker,
-// each with its own CSR inverted index, every query a sum over shards —
-// or the HyperLogLog sketch backend, which trades a certified relative
-// error for θ-independent memory. See coverage.Estimator for the
-// contract.
-type EstimatorKind = coverage.EstimatorKind
-
-// Coverage estimator backends.
-const (
-	// EstimatorExact is the exact sharded CSR engine (default;
-	// byte-identical results for any worker count).
-	EstimatorExact = coverage.EstimatorExact
-	// EstimatorHLL is the register-array HyperLogLog sketch backend.
-	EstimatorHLL = coverage.EstimatorHLL
-)
-
-// ParseEstimator maps a flag value ("exact" | "hll") to its kind.
-func ParseEstimator(s string) (EstimatorKind, error) { return coverage.ParseEstimator(s) }
 
 // BoundKind selects the sample-complexity analysis capping θ via
 // Options.Bound: the worst-case IMM/OPIM-C constants (the zero value)
